@@ -215,26 +215,30 @@ std::optional<Bytes> Construction2::access(const Bytes& ciphertext_file,
                                                {{"phase", "c2.decrypt"}}),
   };
 
+  // The three phases are children of the caller's span (c2.access) when
+  // the request is traced.
+  const obs::TraceContext trace = obs::Tracer::current();
+
   // Reconstruct τ̂ from τ' with the receiver's normalized answers.
-  obs::TraceSpan reconstruct_span(phases.reconstruct);
+  obs::Span reconstruct_span(trace, "c2.reconstruct", phases.reconstruct);
   std::map<std::string, std::string> claimed;
   for (const auto& [q, a] : knowledge.answers()) claimed[q] = Context::normalize_answer(a);
   const auto [tau_hat, recovered] = ct.policy.reconstruct(claimed);
   if (recovered == 0) return std::nullopt;
   const abe::Ciphertext ct_hat = abe::CpAbe::swap_policy(std::move(ct), tau_hat);
-  reconstruct_span.stop();
+  reconstruct_span.end();
 
   // KeyGen with the recovered leaf attributes (publicly known algorithm +
   // MK, per the paper).
-  obs::TraceSpan keygen_span(phases.keygen);
+  obs::Span keygen_span(trace, "c2.keygen", phases.keygen);
   std::vector<std::string> attrs;
   for (const auto& [id, leaf] : tau_hat.leaves()) {
     if (!leaf->leaf->perturbed) attrs.push_back(leaf->leaf->canonical());
   }
   const abe::PrivateKey sk = scheme_.keygen(mk, attrs, rng);
-  keygen_span.stop();
+  keygen_span.end();
 
-  obs::TraceSpan decrypt_span(phases.decrypt);
+  obs::Span decrypt_span(trace, "c2.decrypt", phases.decrypt);
   const auto dem_key = scheme_.decrypt_key(pk, sk, ct_hat, runner);
   if (!dem_key) return std::nullopt;
   try {

@@ -11,8 +11,6 @@
 
 namespace sp::core {
 
-using net::CpuTimer;
-
 namespace {
 
 /// Serving-stack instruments (docs/OBSERVABILITY.md catalog). Phase series
@@ -122,6 +120,12 @@ struct SessionMetrics {
 
 namespace {
 
+/// Each C2 file moves over a separately spawned cURL HTTPS request (cold
+/// connection: DNS + TCP + TLS ≈ 3 round trips) — the "additional overhead
+/// caused by the cURL library" the paper blames for I2's network delay.
+/// C1's single warm-browser XHR pays 1.
+constexpr int kColdCurlRoundTrips = 3;
+
 storage::DurableStore::Options host_store_options(const PersistenceConfig& p, const char* sub) {
   storage::DurableStore::Options opts;
   opts.dir = p.dir + "/" + sub;
@@ -166,6 +170,19 @@ crypto::Drbg Session::fork_rng(const std::string& label) const {
   return rng_.fork(label);
 }
 
+std::optional<net::ServeError> Session::exchange(net::CostLedger& ledger,
+                                                net::FaultStream* faults, std::size_t bytes,
+                                                int round_trips) const {
+  const net::Expected<double> delay = network_.try_transfer_ms(bytes, round_trips, faults);
+  if (!delay.ok()) {
+    ledger.add_wait(injector_->plan().transfer_timeout_ms);
+    return delay.error();
+  }
+  ledger.add_network(delay.value());
+  ledger.add_bytes(bytes);
+  return std::nullopt;
+}
+
 osn::UserId Session::register_user(const std::string& name) {
   const osn::UserId id = graph_.add_user(name);
   crypto::Drbg key_rng = fork_rng("user-keys-" + std::to_string(id));
@@ -180,49 +197,87 @@ osn::UserId Session::register_user(const std::string& name) {
 
 void Session::befriend(osn::UserId a, osn::UserId b) { graph_.befriend(a, b); }
 
-ShareReceipt Session::share_c1(osn::UserId sharer, std::span<const std::uint8_t> object,
-                               const Context& ctx, std::size_t k, std::size_t n,
-                               const net::DeviceProfile& device, osn::Visibility visibility) {
+const sig::KeyPair& Session::keys_of(osn::UserId user) {
   // Map nodes are stable and keys are never erased, so the reference stays
   // valid after the lookup lock drops.
-  const sig::KeyPair* keys = nullptr;
-  {
-    const sp::MutexLock lock(keys_mutex_);
-    keys = &user_keys_.at(sharer);
-  }
-  crypto::Drbg op_rng = fork_rng("share-c1");
-  net::CostLedger ledger(device);
+  const sp::MutexLock lock(keys_mutex_);
+  return user_keys_.at(user);
+}
+
+Session::C1Upload Session::upload_c1(std::span<const std::uint8_t> object, const Context& ctx,
+                                     std::size_t k, std::size_t n, const sig::KeyPair& keys,
+                                     crypto::Drbg& rng, net::CostLedger& ledger) {
   SessionMetrics& metrics = SessionMetrics::get();
-  metrics.shares_c1.inc();
+  const obs::TraceContext trace = obs::Tracer::current();
 
   // -- local: Upload subroutine (crypto) --------------------------------
-  obs::TraceSpan upload_span(metrics.c1_upload, ledger);
-  auto result = c1_->upload(object, ctx, k, n, *keys, op_rng);
-  upload_span.stop();
+  obs::Span upload_span(trace, "c1.upload", metrics.c1_upload, ledger);
+  auto result = c1_->upload(object, ctx, k, n, keys, rng);
+  upload_span.end();
 
   // -- network: store O_{K_O} at the DH ---------------------------------
   ledger.add_network(network_.transfer_ms(result.encrypted_object.size()));
   ledger.add_bytes(result.encrypted_object.size());
-  const std::string url = dh_.store(std::move(result.encrypted_object));
+  std::string url = dh_.store(std::move(result.encrypted_object));
 
   // -- local: patch URL_O and re-sign (DoS countermeasure) --------------
-  obs::TraceSpan sign_span(metrics.c1_sign, ledger);
+  obs::Span sign_span(trace, "c1.sign", metrics.c1_sign, ledger);
   result.puzzle.url = url;
-  c1_->sign_puzzle(result.puzzle, *keys);
-  const Bytes record = result.puzzle.serialize();
-  sign_span.stop();
+  c1_->sign_puzzle(result.puzzle, keys);
+  Bytes record = result.puzzle.serialize();
+  sign_span.end();
 
   // -- network: upload Z_O to the SP ------------------------------------
   ledger.add_network(network_.transfer_ms(record.size()));
   ledger.add_bytes(record.size());
-  const std::string post_id = sp_.store_record(record);
+  return C1Upload{std::move(result.puzzle), std::move(url), std::move(record)};
+}
+
+Session::C2Upload Session::upload_c2(std::span<const std::uint8_t> object, const Context& ctx,
+                                     std::size_t k, crypto::Drbg& rng,
+                                     net::CostLedger& ledger) {
+  // -- local: Setup + Encrypt + Perturb (the heavy CP-ABE work) ----------
+  obs::Span upload_span(obs::Tracer::current(), "c2.upload", SessionMetrics::get().c2_upload,
+                        ledger);
+  auto files = c2_->upload(object, ctx, k, rng);
+  upload_span.end();
+
+  // -- network: the paper's four cURL uploads (details, pub, master -> SP;
+  //    ciphertext -> DH).
+  Bytes details = files.perturbed_tree.serialize();
+  for (const std::size_t bytes :
+       {details.size(), files.public_key.size(), files.master_key.size()}) {
+    ledger.add_network(network_.transfer_ms(bytes, kColdCurlRoundTrips));
+    ledger.add_bytes(bytes);
+  }
+  ledger.add_network(network_.transfer_ms(files.ciphertext.size(), kColdCurlRoundTrips));
+  ledger.add_bytes(files.ciphertext.size());
+  std::string url = dh_.store(files.ciphertext);
+
+  // SP view: τ' + PK + MK (it never sees τ or the object).
+  sp_.observe("c2-details", details);
+  sp_.observe("c2-public-key", files.public_key);
+  sp_.observe("c2-master-key", files.master_key);
+  return C2Upload{std::move(files), std::move(url), std::move(details)};
+}
+
+ShareReceipt Session::share_c1(osn::UserId sharer, std::span<const std::uint8_t> object,
+                               const Context& ctx, std::size_t k, std::size_t n,
+                               const net::DeviceProfile& device, osn::Visibility visibility) {
+  const sig::KeyPair& keys = keys_of(sharer);
+  crypto::Drbg op_rng = fork_rng("share-c1");
+  net::CostLedger ledger(device);
+  SessionMetrics::get().shares_c1.inc();
+
+  C1Upload up = upload_c1(object, ctx, k, n, keys, op_rng, ledger);
+  const std::string post_id = sp_.store_record(up.record);
 
   StoredPuzzle stored;
   stored.kind = SchemeKind::kConstruction1;
   stored.sharer = sharer;
   stored.visibility = visibility;
-  stored.puzzle = std::move(result.puzzle);
-  stored.url = url;
+  stored.puzzle = std::move(up.puzzle);
+  stored.url = std::move(up.url);
   {
     const sp::UniqueLock lock(puzzles_mutex_);
     puzzles_.emplace(post_id, std::move(stored));
@@ -237,43 +292,18 @@ ShareReceipt Session::share_c2(osn::UserId sharer, std::span<const std::uint8_t>
                                const net::DeviceProfile& device, osn::Visibility visibility) {
   crypto::Drbg op_rng = fork_rng("share-c2");
   net::CostLedger ledger(device);
-  SessionMetrics& metrics = SessionMetrics::get();
-  metrics.shares_c2.inc();
+  SessionMetrics::get().shares_c2.inc();
 
-  // -- local: Setup + Encrypt + Perturb (the heavy CP-ABE work) ----------
-  obs::TraceSpan upload_span(metrics.c2_upload, ledger);
-  auto files = c2_->upload(object, ctx, k, op_rng);
-  upload_span.stop();
-
-  // -- network: the paper's four cURL uploads (details, pub, master -> SP;
-  //    ciphertext -> DH). Each file is a separately spawned cURL HTTPS
-  //    request (cold connection: DNS + TCP + TLS ≈ 3 round trips), which is
-  //    the "additional overhead caused by the cURL library" the paper blames
-  //    for I2's network delay. C1's single warm-browser XHR pays 1.
-  constexpr int kColdCurlRoundTrips = 3;
-  const Bytes details = files.perturbed_tree.serialize();
-  for (const std::size_t bytes :
-       {details.size(), files.public_key.size(), files.master_key.size()}) {
-    ledger.add_network(network_.transfer_ms(bytes, kColdCurlRoundTrips));
-    ledger.add_bytes(bytes);
-  }
-  ledger.add_network(network_.transfer_ms(files.ciphertext.size(), kColdCurlRoundTrips));
-  ledger.add_bytes(files.ciphertext.size());
-  const std::string url = dh_.store(files.ciphertext);
-
-  // SP view: τ' + PK + MK (it never sees τ or the object).
-  sp_.observe("c2-details", details);
-  sp_.observe("c2-public-key", files.public_key);
-  sp_.observe("c2-master-key", files.master_key);
+  C2Upload up = upload_c2(object, ctx, k, op_rng, ledger);
 
   StoredPuzzle stored;
   stored.kind = SchemeKind::kConstruction2;
   stored.sharer = sharer;
   stored.visibility = visibility;
-  stored.c2_files = std::move(files);
-  stored.url = url;
+  stored.c2_files = std::move(up.files);
+  stored.url = std::move(up.url);
 
-  const std::string post_id = sp_.store_record(details);
+  const std::string post_id = sp_.store_record(up.details);
   {
     const sp::UniqueLock lock(puzzles_mutex_);
     puzzles_.emplace(post_id, std::move(stored));
@@ -299,63 +329,19 @@ ShareReceipt Session::refresh(osn::UserId sharer, const std::string& post_id,
   const std::string old_url = stored.url;
   net::CostLedger ledger(device);
   crypto::Drbg op_rng = fork_rng("refresh-" + post_id);
-  SessionMetrics& metrics = SessionMetrics::get();
-  metrics.refreshes.inc();
+  SessionMetrics::get().refreshes.inc();
 
   if (stored.kind == SchemeKind::kConstruction1) {
-    const sig::KeyPair* keys = nullptr;
-    {
-      const sp::MutexLock lock(keys_mutex_);
-      keys = &user_keys_.at(sharer);
-    }
-    const std::size_t k = stored.puzzle->threshold;
-    const std::size_t n = stored.puzzle->n();
-
-    obs::TraceSpan upload_span(metrics.c1_upload, ledger);
-    auto result = c1_->upload(object, ctx, k, n, *keys, op_rng);
-    upload_span.stop();
-
-    ledger.add_network(network_.transfer_ms(result.encrypted_object.size()));
-    ledger.add_bytes(result.encrypted_object.size());
-    const std::string url = dh_.store(std::move(result.encrypted_object));
-
-    obs::TraceSpan sign_span(metrics.c1_sign, ledger);
-    result.puzzle.url = url;
-    c1_->sign_puzzle(result.puzzle, *keys);
-    const Bytes record = result.puzzle.serialize();
-    sign_span.stop();
-
-    ledger.add_network(network_.transfer_ms(record.size()));
-    ledger.add_bytes(record.size());
-    sp_.replace_record(post_id, record);
-
-    stored.puzzle = std::move(result.puzzle);
-    stored.url = url;
+    const Puzzle& old = *stored.puzzle;
+    C1Upload up = upload_c1(object, ctx, old.threshold, old.n(), keys_of(sharer), op_rng, ledger);
+    sp_.replace_record(post_id, up.record);
+    stored.puzzle = std::move(up.puzzle);
+    stored.url = std::move(up.url);
   } else {
-    const std::size_t k = stored.c2_files->threshold;
-
-    obs::TraceSpan upload_span(metrics.c2_upload, ledger);
-    auto files = c2_->upload(object, ctx, k, op_rng);
-    upload_span.stop();
-
-    constexpr int kColdCurlRoundTrips = 3;
-    const Bytes details = files.perturbed_tree.serialize();
-    for (const std::size_t bytes :
-         {details.size(), files.public_key.size(), files.master_key.size()}) {
-      ledger.add_network(network_.transfer_ms(bytes, kColdCurlRoundTrips));
-      ledger.add_bytes(bytes);
-    }
-    ledger.add_network(network_.transfer_ms(files.ciphertext.size(), kColdCurlRoundTrips));
-    ledger.add_bytes(files.ciphertext.size());
-    const std::string url = dh_.store(files.ciphertext);
-
-    sp_.observe("c2-details", details);
-    sp_.observe("c2-public-key", files.public_key);
-    sp_.observe("c2-master-key", files.master_key);
-    sp_.replace_record(post_id, details);
-
-    stored.c2_files = std::move(files);
-    stored.url = url;
+    C2Upload up = upload_c2(object, ctx, stored.c2_files->threshold, op_rng, ledger);
+    sp_.replace_record(post_id, up.details);
+    stored.c2_files = std::move(up.files);
+    stored.url = std::move(up.url);
   }
 
   // Retire the stale ciphertext so leaked keys can't fetch it later (a
@@ -404,6 +390,12 @@ AccessResult Session::access(osn::UserId receiver, const std::string& post_id,
   const obs::TraceContext enclosing = obs::Tracer::current();
   obs::Span root = enclosing.sampled() ? obs::Span(enclosing, "sp.access")
                                        : obs::Tracer::global().start_trace("sp.access");
+  // The root span also times the end-to-end outcome series; any series arms
+  // its clock here. The series — split by success(), granted AND object
+  // recovered, so a granted-but-tampered request counts as denied — is
+  // picked at the end. A request that throws observes none.
+  SessionMetrics& metrics = SessionMetrics::get();
+  root.set_histogram(metrics.c1_granted_ms);
   const obs::TraceContext trace = root.context();
   const obs::ContextGuard trace_guard(trace);
   if (root.recording()) root.add_attr("receiver", static_cast<std::int64_t>(receiver));
@@ -430,25 +422,17 @@ AccessResult Session::access(osn::UserId receiver, const std::string& post_id,
   net::FaultStream* faults = fault_tape ? &*fault_tape : nullptr;
   const bool is_c1 = stored.kind == SchemeKind::kConstruction1;
   if (root.recording()) root.add_attr("scheme", is_c1 ? "c1" : "c2");
-  CpuTimer wall;
-  const AccessResult result =
+  AccessResult result =
       is_c1 ? access_c1(post_id, stored, knowledge, ledger, op_rng, faults, trace)
             : access_c2(post_id, stored, knowledge, ledger, op_rng, faults, trace);
-  // End-to-end outcome series. `success()` (granted AND object recovered) is
-  // the label, so a granted-but-tampered request counts as denied here.
-  // Exemplar-carrying observe: when this request is traced, the latency
-  // sample remembers which trace explains it (zero trace id = plain observe).
-  const double elapsed = wall.elapsed_ms();
-  const obs::TraceId tid = trace.trace_id();
-  SessionMetrics& metrics = SessionMetrics::get();
+  result.cost = ledger;
+  const bool ok = result.success();
   if (is_c1) {
-    (result.success() ? metrics.c1_granted : metrics.c1_denied).inc();
-    (result.success() ? metrics.c1_granted_ms : metrics.c1_denied_ms)
-        .observe_exemplar(elapsed, tid.hi, tid.lo);
+    (ok ? metrics.c1_granted : metrics.c1_denied).inc();
+    root.set_histogram(ok ? metrics.c1_granted_ms : metrics.c1_denied_ms);
   } else {
-    (result.success() ? metrics.c2_granted : metrics.c2_denied).inc();
-    (result.success() ? metrics.c2_granted_ms : metrics.c2_denied_ms)
-        .observe_exemplar(elapsed, tid.hi, tid.lo);
+    (ok ? metrics.c2_granted : metrics.c2_denied).inc();
+    root.set_histogram(ok ? metrics.c2_granted_ms : metrics.c2_denied_ms);
   }
   if (root.recording()) {
     root.add_attr("granted", result.granted ? "true" : "false");
@@ -599,38 +583,20 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
   const Puzzle& puzzle = *stored.puzzle;
   SessionMetrics& metrics = SessionMetrics::get();
   AccessResult result;
-  // One request/response exchange under the fault schedule: success charges
-  // the modeled delay + bytes, a timeout charges the plan's wasted wait and
-  // reports the error instead.
-  const auto exchange = [&](std::size_t bytes, int round_trips) -> std::optional<net::ServeError> {
-    const net::Expected<double> delay = network_.try_transfer_ms(bytes, round_trips, faults);
-    if (!delay.ok()) {
-      ledger.add_wait(injector_->plan().transfer_timeout_ms);
-      return delay.error();
-    }
-    ledger.add_network(delay.value());
-    ledger.add_bytes(bytes);
-    return std::nullopt;
-  };
 
   // -- SP: DisplayPuzzle; network: challenge download -------------------
-  obs::Span display_tspan(trace, "c1.display");
-  obs::TraceSpan display_span(metrics.c1_display);
+  obs::Span display_span(trace, "c1.display", metrics.c1_display);
   const auto challenge = Construction1::display_puzzle(puzzle, rng);
-  display_span.stop();
-  display_tspan.end();
-  if (const auto err = exchange(challenge.wire_size(), 1)) {
+  display_span.end();
+  if (const auto err = exchange(ledger, faults, challenge.wire_size(), 1)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
   // -- receiver local: AnswerPuzzle (hashing) ----------------------------
-  obs::Span answer_tspan(trace, "c1.answer_hashes");
-  obs::TraceSpan answer_span(metrics.c1_answer_hashes, ledger);
+  obs::Span answer_span(trace, "c1.answer_hashes", metrics.c1_answer_hashes, ledger);
   const auto response = Construction1::answer_puzzle(challenge, knowledge);
-  answer_span.stop();
-  answer_tspan.end();
+  answer_span.end();
 
   // -- SP availability: a transient outage drops the Verify exchange; the
   //    receiver still paid for the response upload it sent into the void.
@@ -638,34 +604,27 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
     ledger.add_network(network_.transfer_ms(response.wire_size()));
     ledger.add_bytes(response.wire_size());
     result.error = net::ServeError::kSpUnavailable;
-    result.cost = ledger;
     return result;
   }
 
   // -- network: response up, reply down (one exchange) -------------------
   // The SP's observation log gets everything the receiver sends.
   for (const Bytes& h : response.hashes) sp_.observe("c1-response-hash", h);
-  obs::Span verify_tspan(trace, "sp.verify");
-  obs::TraceSpan verify_span(metrics.sp_verify);
+  obs::Span verify_span(trace, "sp.verify", metrics.sp_verify);
   // Verify batches its check set through the shared queue; the guard makes
   // this span the parent of the batch's verify.wait/verify.job spans.
   auto reply = [&] {
-    const obs::ContextGuard verify_guard(verify_tspan.context());
+    const obs::ContextGuard verify_guard(verify_span.context());
     return Construction1::verify(puzzle, challenge, response.hashes, verify_queue_.get());
   }();
-  verify_span.stop();
-  verify_tspan.end();
-  if (const auto err = exchange(response.wire_size() + reply.wire_size(), 1)) {
+  verify_span.end();
+  if (const auto err = exchange(ledger, faults, response.wire_size() + reply.wire_size(), 1)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
   result.granted = reply.granted;
-  if (!reply.granted) {
-    result.cost = ledger;
-    return result;
-  }
+  if (!reply.granted) return result;
 
   // -- partial SP reply: some granted shares are lost in delivery. While
   //    >= k survive the request degrades gracefully (Access only needs
@@ -675,7 +634,6 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
     if (reply.shares.size() < puzzle.threshold) {
       result.granted = false;
       result.error = net::ServeError::kSpUnavailable;
-      result.cost = ledger;
       return result;
     }
   }
@@ -684,7 +642,9 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
   // Memoized per (post, epoch, URL): the signature covers immutable puzzle
   // state, so a hot post pays the two scalar multiplications once. Cache
   // consulted only after the grant — it can shortcut work, never decisions.
-  obs::Span sig_tspan(trace, "c1.sig_verify");
+  // One interval for trace, histogram and ledger: the lookup plus, on a
+  // miss, the verification (docs/OBSERVABILITY.md).
+  obs::Span sig_span(trace, "c1.sig_verify", metrics.c1_sig_verify, ledger);
   bool sig_ok = false;
   bool sig_cached = false;
   const std::string sig_entry_id =
@@ -693,20 +653,17 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
   if (cache_) {
     sig_cached = cache_->get(sig_entry_id, ServeCache::Kind::kC1Sig).has_value();
     sig_ok = sig_cached;  // only verified signatures are ever inserted
-    sig_tspan.add_attr("cache", sig_cached ? "hit" : "miss");
+    sig_span.add_attr("cache", sig_cached ? "hit" : "miss");
   }
   if (!sig_cached) {
-    obs::TraceSpan sig_span(metrics.c1_sig_verify, ledger);
     Puzzle verified_view = puzzle;  // fields as received from the SP
     verified_view.url = reply.url;
     sig_ok = c1_->verify_puzzle_signature(verified_view);
-    sig_span.stop();
     if (sig_ok && cache_) cache_->put(sig_entry_id, ServeCache::Kind::kC1Sig, Bytes{1});
   }
-  sig_tspan.end();
+  sig_span.end();
   if (!sig_ok) {
     result.granted = false;
-    result.cost = ledger;
     return result;
   }
 
@@ -719,48 +676,41 @@ AccessResult Session::access_c1(const std::string& post_id, const StoredPuzzle& 
              : std::string();
   if (cache_ && cache_->negative_hit(neg_entry_id)) {
     result.error = net::ServeError::kDhMiss;
-    result.cost = ledger;
     return result;
   }
   Bytes encrypted;
   {
-    obs::Span fetch_tspan(trace, "dh.fetch");
-    const obs::TraceSpan fetch_span(metrics.dh_fetch);
+    obs::Span fetch_span(trace, "dh.fetch", metrics.dh_fetch);
     net::Expected<Bytes> fetched = dh_.try_fetch(reply.url, faults);
     if (!fetched.ok()) {
       // Injected miss, or a malicious SP pointing at a missing object.
-      fetch_tspan.set_status(obs::SpanStatus::kTransientFault);
+      fetch_span.set_status(obs::SpanStatus::kTransientFault);
       // Only an authoritative absence is worth remembering: an injected
       // fault on a live blob must not poison the negative cache.
       if (cache_ && fetched.error() == net::ServeError::kDhMiss && !dh_.exists(reply.url)) {
         cache_->negative_put(neg_entry_id);
       }
       result.error = fetched.error();
-      result.cost = ledger;
       return result;
     }
     encrypted = std::move(fetched).value();
   }
-  if (const auto err = exchange(encrypted.size(), 1)) {
+  if (const auto err = exchange(ledger, faults, encrypted.size(), 1)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
   // -- receiver local: Access (unblind, Lagrange, decrypt) --------------
-  obs::Span access_tspan(trace, "c1.interpolate");
-  obs::TraceSpan access_span(metrics.c1_interpolate, ledger);
+  obs::Span access_span(trace, "c1.interpolate", metrics.c1_interpolate, ledger);
   try {
     result.object = c1_->access(puzzle, challenge, reply, knowledge, encrypted);
   } catch (const std::exception&) {
     result.object = std::nullopt;  // delivered bytes too mangled to parse
   }
-  access_span.stop();
-  access_tspan.end();
+  access_span.end();
   // Granted but undecryptable = the delivered bytes are bad (injected
   // corruption or a tampering host), never a silent empty object.
   if (!result.object) result.error = net::ServeError::kCorruptedBlob;
-  result.cost = ledger;
   return result;
 }
 
@@ -771,99 +721,72 @@ AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& 
   const auto& files = *stored.c2_files;
   SessionMetrics& metrics = SessionMetrics::get();
   AccessResult result;
-  const auto exchange = [&](std::size_t bytes, int round_trips) -> std::optional<net::ServeError> {
-    const net::Expected<double> delay = network_.try_transfer_ms(bytes, round_trips, faults);
-    if (!delay.ok()) {
-      ledger.add_wait(injector_->plan().transfer_timeout_ms);
-      return delay.error();
-    }
-    ledger.add_network(delay.value());
-    ledger.add_bytes(bytes);
-    return std::nullopt;
-  };
 
   // -- network: download details (τ' questions) --------------------------
-  obs::Span display_tspan(trace, "c2.display");
-  obs::TraceSpan display_span(metrics.c2_display);
+  obs::Span display_span(trace, "c2.display", metrics.c2_display);
   const auto challenge = Construction2::display_puzzle(files.perturbed_tree, files.threshold);
-  display_span.stop();
-  display_tspan.end();
-  if (const auto err = exchange(challenge.wire_size(), 1)) {
+  display_span.end();
+  if (const auto err = exchange(ledger, faults, challenge.wire_size(), 1)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
   // -- receiver local: hash answers --------------------------------------
-  obs::Span answer_tspan(trace, "c2.answer_hashes");
-  obs::TraceSpan answer_span(metrics.c2_answer_hashes, ledger);
+  obs::Span answer_span(trace, "c2.answer_hashes", metrics.c2_answer_hashes, ledger);
   const auto response = Construction2::answer_puzzle(challenge, knowledge);
-  answer_span.stop();
-  answer_tspan.end();
+  answer_span.end();
 
   // -- SP availability (same semantics as C1's Verify exchange) ----------
   if (!sp_.serve_ok(faults)) {
     ledger.add_network(network_.transfer_ms(response.wire_size()));
     ledger.add_bytes(response.wire_size());
     result.error = net::ServeError::kSpUnavailable;
-    result.cost = ledger;
     return result;
   }
 
   for (const std::string& h : response.answer_hashes) {
     sp_.observe("c2-response-hash", crypto::to_bytes(h));
   }
-  obs::Span verify_tspan(trace, "sp.verify");
-  obs::TraceSpan verify_span(metrics.sp_verify);
+  obs::Span verify_span(trace, "sp.verify", metrics.sp_verify);
   const auto reply = [&] {
-    const obs::ContextGuard verify_guard(verify_tspan.context());
+    const obs::ContextGuard verify_guard(verify_span.context());
     return Construction2::verify(files.perturbed_tree, files.threshold, challenge, response,
                                  stored.url, verify_queue_.get());
   }();
-  verify_span.stop();
-  verify_tspan.end();
-  if (const auto err = exchange(response.wire_size() + reply.wire_size(files), 1)) {
+  verify_span.end();
+  if (const auto err = exchange(ledger, faults, response.wire_size() + reply.wire_size(files), 1)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
   result.granted = reply.granted;
-  if (!reply.granted) {
-    result.cost = ledger;
-    return result;
-  }
+  if (!reply.granted) return result;
 
   // -- network: three file downloads (CT' from DH; PK, MK from SP), again
   //    one cold cURL connection each in the paper's Qt receiver -----------
-  constexpr int kColdCurlRoundTrips = 3;
   const std::string neg_entry_id =
       cache_ ? ServeCache::key(post_id, stored.epoch, ServeCache::Kind::kDhNegative, reply.url)
              : std::string();
   if (cache_ && cache_->negative_hit(neg_entry_id)) {
     result.error = net::ServeError::kDhMiss;  // known-absent: skip the round trip
-    result.cost = ledger;
     return result;
   }
   Bytes ciphertext;
   {
-    obs::Span fetch_tspan(trace, "dh.fetch");
-    const obs::TraceSpan fetch_span(metrics.dh_fetch);
+    obs::Span fetch_span(trace, "dh.fetch", metrics.dh_fetch);
     net::Expected<Bytes> fetched = dh_.try_fetch(reply.url, faults);
     if (!fetched.ok()) {
-      fetch_tspan.set_status(obs::SpanStatus::kTransientFault);
+      fetch_span.set_status(obs::SpanStatus::kTransientFault);
       if (cache_ && fetched.error() == net::ServeError::kDhMiss && !dh_.exists(reply.url)) {
         cache_->negative_put(neg_entry_id);
       }
       result.error = fetched.error();
-      result.cost = ledger;
       return result;
     }
     ciphertext = std::move(fetched).value();
   }
-  if (const auto err = exchange(ciphertext.size(), kColdCurlRoundTrips)) {
+  if (const auto err = exchange(ledger, faults, ciphertext.size(), kColdCurlRoundTrips)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
@@ -877,45 +800,38 @@ AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& 
       cache_ ? ServeCache::key(post_id, stored.epoch, ServeCache::Kind::kC2Dem) : std::string();
   if (cache_) {
     if (std::optional<Bytes> dem = cache_->get(dem_entry_id, ServeCache::Kind::kC2Dem)) {
-      obs::Span access_tspan(trace, "c2.access");
-      access_tspan.add_attr("cache", "hit");
-      obs::TraceSpan access_span(metrics.c2_access, ledger);
+      obs::Span access_span(trace, "c2.access", metrics.c2_access, ledger);
+      access_span.add_attr("cache", "hit");
       result.object = Construction2::open_sealed(ciphertext, *dem);
       crypto::secure_wipe(*dem);
-      access_span.stop();
-      access_tspan.end();
+      access_span.end();
       // A delivered-copy corruption fails the envelope tag exactly like the
       // full path; the cached key itself stays valid for this epoch.
       if (!result.object) result.error = net::ServeError::kCorruptedBlob;
-      result.cost = ledger;
       return result;
     }
   }
-  if (const auto err = exchange(files.public_key.size(), kColdCurlRoundTrips)) {
+  if (const auto err = exchange(ledger, faults, files.public_key.size(), kColdCurlRoundTrips)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
-  if (const auto err = exchange(files.master_key.size(), kColdCurlRoundTrips)) {
+  if (const auto err = exchange(ledger, faults, files.master_key.size(), kColdCurlRoundTrips)) {
     result.error = err;
-    result.cost = ledger;
     return result;
   }
 
-  obs::Span access_tspan(trace, "c2.access");
-  if (cache_) access_tspan.add_attr("cache", "miss");
-  obs::TraceSpan access_span(metrics.c2_access, ledger);
+  obs::Span access_span(trace, "c2.access", metrics.c2_access, ledger);
+  if (cache_) access_span.add_attr("cache", "miss");
   Bytes dem_key;
   try {
     // Batched CP-ABE leaf pairings run through the queue; parent them here.
-    const obs::ContextGuard access_guard(access_tspan.context());
+    const obs::ContextGuard access_guard(access_span.context());
     result.object = c2_->access(ciphertext, files.public_key, files.master_key, knowledge, rng,
                                 verify_queue_->runner(), cache_ ? &dem_key : nullptr);
   } catch (const std::exception&) {
     result.object = std::nullopt;  // delivered bytes too mangled to parse
   }
-  access_span.stop();
-  access_tspan.end();
+  access_span.end();
   if (!result.object) result.error = net::ServeError::kCorruptedBlob;
   // Fill only from a fully successful access: access() hands the key out
   // only after the envelope authenticated, so a fault mid-pipeline (partial
@@ -925,7 +841,6 @@ AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& 
   } else {
     crypto::secure_wipe(dem_key);
   }
-  result.cost = ledger;
   return result;
 }
 

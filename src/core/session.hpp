@@ -224,6 +224,40 @@ class Session {
   /// exclusively owned by the calling operation — no further locking.
   crypto::Drbg fork_rng(const std::string& label) const SP_EXCLUDES(rng_mutex_);
 
+  /// A user's signing keys. Map nodes are stable and never erased, so the
+  /// reference outlives the lookup lock.
+  const sig::KeyPair& keys_of(osn::UserId user) SP_EXCLUDES(keys_mutex_);
+
+  /// Sharer side of one C1 post, shared by share_c1 and refresh: Upload,
+  /// store O_{K_O} at the DH, patch URL_O into the puzzle and re-sign it,
+  /// then charge the record upload. The caller writes `record` to the SP.
+  struct C1Upload {
+    Puzzle puzzle;
+    std::string url;
+    Bytes record;
+  };
+  C1Upload upload_c1(std::span<const std::uint8_t> object, const Context& ctx, std::size_t k,
+                     std::size_t n, const sig::KeyPair& keys, crypto::Drbg& rng,
+                     net::CostLedger& ledger);
+
+  /// Sharer side of one C2 post, shared by share_c2 and refresh: Setup,
+  /// Encrypt and Perturb, the four cold cURL uploads (ciphertext stored at
+  /// the DH) and the SP's view of τ', PK and MK. The caller writes
+  /// `details` to the SP.
+  struct C2Upload {
+    Construction2::UploadResult files;
+    std::string url;
+    Bytes details;
+  };
+  C2Upload upload_c2(std::span<const std::uint8_t> object, const Context& ctx, std::size_t k,
+                     crypto::Drbg& rng, net::CostLedger& ledger);
+
+  /// One request/response exchange under the fault schedule: success charges
+  /// the modeled delay and bytes to `ledger`; a timeout charges the plan's
+  /// wasted wait and returns the error instead.
+  std::optional<net::ServeError> exchange(net::CostLedger& ledger, net::FaultStream* faults,
+                                          std::size_t bytes, int round_trips) const;
+
   /// Body of access_with_retries under an externally owned root span:
   /// access_parallel pre-creates each request's "sp.request" root at submit
   /// time (so pool queue-wait spans land inside the request's trace) and

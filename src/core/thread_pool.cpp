@@ -131,22 +131,16 @@ void ThreadPool::worker_loop() {
     metrics.in_flight.add(1);
     queue_has_space_.notify_one();
     {
-      obs::TraceSpan span(metrics.task_ms);
-      if (item.ctx.sampled()) {
-        // Queue wait as its own span (enqueue → pop), then the execution
-        // span, installed as this thread's context so work inside the task
-        // nests under it.
-        obs::Span wait(item.ctx, "pool.wait", item.enqueue_ns);
-        wait.end();
-        obs::Span exec(item.ctx, "pool.task");
-        const obs::ContextGuard guard(exec.context());
-        item.fn();
-        // item.fn is destroyed at the end of this loop iteration, i.e. after
-        // exec has ended — access_parallel relies on that order: its request
-        // root lives inside the callable and must end after pool.task.
-      } else {
-        item.fn();
-      }
+      // Queue wait as its own span (enqueue → pop), then the execution
+      // span, installed as this thread's context so work inside the task
+      // nests under it.
+      obs::Span(item.ctx, "pool.wait", item.enqueue_ns).end();
+      obs::Span exec(item.ctx, "pool.task", metrics.task_ms);
+      const obs::ContextGuard guard(exec.context());
+      item.fn();
+      // item.fn is destroyed at the end of this loop iteration, i.e. after
+      // exec has ended — access_parallel relies on that order: its request
+      // root lives inside the callable and must end after pool.task.
     }
     metrics.in_flight.sub(1);
     {

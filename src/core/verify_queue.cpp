@@ -65,8 +65,7 @@ void VerifyQueue::Batch::add(Job job) {
     const sp::MutexLock lock(state_->mutex);
     ++state_->outstanding;
   }
-  ++added_;
-  Task task{std::move(job), state_, obs::Tracer::current(), 0, 0};
+  Task task{std::move(job), state_, obs::Tracer::current(), 0, 0, added_++};
   if (task.ctx.sampled()) {
     // Reserve the job's span id now so wait()'s span (and any cross-request
     // viewer) can link to it before the job has even started running.
@@ -98,12 +97,11 @@ void VerifyQueue::Batch::wait() {
   metrics.batches.inc();
   metrics.batch_size.observe(static_cast<double>(added_));
   {
-    obs::Span wait_span(obs::Tracer::current(), "verify.wait");
+    obs::Span wait_span(obs::Tracer::current(), "verify.wait", metrics.wait_phase);
     if (wait_span.recording()) {
       wait_span.add_attr("jobs", static_cast<std::int64_t>(added_));
       for (const obs::SpanLink& link : job_links_) wait_span.add_link(link);
     }
-    const obs::TraceSpan span(metrics.wait_phase);
     wait_done();
   }
   waited_ = true;
@@ -171,7 +169,10 @@ bool VerifyQueue::run_one() {
     }
   }
   const sp::MutexLock lock(task.state->mutex);
-  if (error && !task.state->first_error) task.state->first_error = error;
+  if (error && (!task.state->first_error || task.index < task.state->first_error_index)) {
+    task.state->first_error = error;
+    task.state->first_error_index = task.index;
+  }
   if (--task.state->outstanding == 0) task.state->done.notify_all();
   return true;
 }

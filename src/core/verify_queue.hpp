@@ -63,7 +63,10 @@ class VerifyQueue {
     sp::Mutex mutex;
     sp::CondVar done;
     std::size_t outstanding SP_GUARDED_BY(mutex) = 0;
+    /// Error of the earliest-added failing job (not the earliest to fail:
+    /// jobs of one batch run concurrently on workers and help-drainers).
     std::exception_ptr first_error SP_GUARDED_BY(mutex);
+    std::size_t first_error_index SP_GUARDED_BY(mutex) = 0;
   };
 
   /// One request's slice of the queue: add jobs, then wait. Move-only.
@@ -81,7 +84,7 @@ class VerifyQueue {
     void add(Job job);
 
     /// Help-drains the shared queue, then blocks until every job of THIS
-    /// batch finished; rethrows the batch's first job exception. Records
+    /// batch finished; rethrows the exception of its earliest-added failing job. Records
     /// sp_verify_batch_size and the verify.wait phase span.
     void wait();
 
@@ -129,6 +132,7 @@ class VerifyQueue {
     obs::TraceContext ctx;           ///< origin request's context at add()
     std::uint64_t reserved_id = 0;   ///< pre-reserved verify.job span id
     std::uint64_t enqueue_ns = 0;    ///< queue-entry time (sampled tasks)
+    std::size_t index = 0;           ///< position in its batch (add order)
   };
 
   void enqueue(Task task) SP_EXCLUDES(mutex_);

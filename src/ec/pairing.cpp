@@ -299,10 +299,11 @@ Fp2 Pairing::operator()(const Point& p, const Point& q) const {
   if (p.is_infinity() || q.is_infinity()) return Fp2::one(fp);
   // Hot-path instrumentation: a pairing is ~3 ms at the 512-bit preset, the
   // span costs two clock reads + three relaxed fetch_adds (and nothing at
-  // all against a disabled registry). Magic-static init is thread-safe.
+  // all against a disabled registry on an untraced request). Magic-static
+  // init is thread-safe.
   static obs::Histogram& pairing_ms = obs::MetricsRegistry::global().histogram(
       "crypto_pairing_ms", "Full pairing evaluations (Miller loop + final exp)");
-  obs::TraceSpan span(pairing_ms);
+  const obs::Span span(obs::Tracer::current(), "ec.pairing", pairing_ms);
   return final_exponentiation(miller(p, q));
 }
 
@@ -315,7 +316,7 @@ Fp2 Pairing::product(std::span<const Term> terms, const Runner& runner) const {
       "crypto_multi_pairing_products_total", "Multi-pairing product evaluations");
   static obs::Counter& pairs = obs::MetricsRegistry::global().counter(
       "crypto_multi_pairing_pairs_total", "Pairs folded into multi-pairing products");
-  obs::TraceSpan span(multi_ms);
+  const obs::Span span(obs::Tracer::current(), "ec.multi_pairing", multi_ms);
   products.inc();
 
   // Evaluate every term's Miller loop, inline or through the runner. Each

@@ -17,7 +17,6 @@
 // protocol byte counts and real crypto timings, not by hard-coded curves.
 #pragma once
 
-#include <chrono>
 #include <string>
 #include <type_traits>
 
@@ -27,21 +26,6 @@
 #include "support/thread_annotations.hpp"
 
 namespace sp::net {
-
-/// Measures real elapsed CPU-ish time (steady clock) for local-processing
-/// accounting.
-class CpuTimer {
- public:
-  CpuTimer() : start_(std::chrono::steady_clock::now()) {}
-  void reset() { start_ = std::chrono::steady_clock::now(); }
-  [[nodiscard]] double elapsed_ms() const {
-    const auto d = std::chrono::steady_clock::now() - start_;
-    return std::chrono::duration<double, std::milli>(d).count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// Client device: scales measured local CPU time.
 struct DeviceProfile {

@@ -1,6 +1,8 @@
 #include "obs/trace.hpp"
 
+#include <chrono>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <thread>
 
@@ -120,23 +122,33 @@ std::uint64_t reserve_span_id(const TraceContext& ctx) {
   return ctx.buf_->next_span.fetch_add(1, std::memory_order_relaxed);
 }
 
-Span::Span(const TraceContext& parent, std::string_view name)
-    : Span(parent, name, parent.sampled() ? Tracer::now_ns() : 0) {}
-
-Span::Span(const TraceContext& parent, std::string_view name, std::uint64_t start_ns,
-           std::uint64_t reserved_id) {
-  if (!parent.sampled()) return;
-  buf_ = parent.buf_;
-  rec_.span_id = reserved_id != 0 ? reserved_id
-                                  : buf_->next_span.fetch_add(1, std::memory_order_relaxed);
-  rec_.parent_id = parent.span_;
-  rec_.name.assign(name);
+void Span::start(const TraceContext& parent, std::string_view name, std::uint64_t start_ns,
+                 std::uint64_t reserved_id) {
+  if (parent.sampled()) {
+    buf_ = parent.buf_;
+    rec_.span_id = reserved_id != 0 ? reserved_id
+                                    : buf_->next_span.fetch_add(1, std::memory_order_relaxed);
+    rec_.parent_id = parent.span_;
+    rec_.name.assign(name);
+    rec_.thread = this_thread_key();
+  } else if (charge_ == nullptr && (hist_ == nullptr || !hist_->enabled())) {
+    return;  // nothing consumes the interval: no clock read
+  }
+  timing_ = true;
+  uncaught_ = std::uncaught_exceptions();
   rec_.start_ns = start_ns != 0 ? start_ns : Tracer::now_ns();
-  rec_.thread = this_thread_key();
 }
 
-Span::Span(Span&& other) noexcept : buf_(std::move(other.buf_)), rec_(std::move(other.rec_)) {
+Span::Span(Span&& other) noexcept
+    : buf_(std::move(other.buf_)),
+      rec_(std::move(other.rec_)),
+      hist_(other.hist_),
+      ledger_(other.ledger_),
+      charge_(other.charge_),
+      timing_(other.timing_),
+      uncaught_(other.uncaught_) {
   other.buf_.reset();
+  other.timing_ = false;
 }
 
 Span& Span::operator=(Span&& other) noexcept {
@@ -144,9 +156,24 @@ Span& Span::operator=(Span&& other) noexcept {
     end();
     buf_ = std::move(other.buf_);
     rec_ = std::move(other.rec_);
+    hist_ = other.hist_;
+    ledger_ = other.ledger_;
+    charge_ = other.charge_;
+    timing_ = other.timing_;
+    uncaught_ = other.uncaught_;
     other.buf_.reset();
+    other.timing_ = false;
   }
   return *this;
+}
+
+void Span::set_histogram(Histogram& hist) {
+  hist_ = &hist;
+  if (!timing_ && hist.enabled()) {
+    timing_ = true;
+    uncaught_ = std::uncaught_exceptions();
+    rec_.start_ns = Tracer::now_ns();
+  }
 }
 
 TraceContext Span::context() const {
@@ -181,17 +208,30 @@ void Span::add_link(TraceId trace, std::uint64_t span) {
   rec_.links.push_back(SpanLink{trace, span});
 }
 
-void Span::end() {
-  if (!buf_) return;
+double Span::end() {
+  if (!timing_) return 0;
+  timing_ = false;
+  rec_.end_ns = Tracer::now_ns();
+  const double ms = rec_.duration_ms();
+  // A phase cut short by an exception is not a latency sample, and its
+  // request failed: the trace must say so for the errored keep rule.
+  const bool unwinding = std::uncaught_exceptions() > uncaught_;
+  if (hist_ != nullptr && !unwinding) {
+    const TraceId id = buf_ != nullptr ? buf_->id : TraceId{};
+    hist_->observe_exemplar(ms, id.hi, id.lo);
+  }
+  if (charge_ != nullptr) charge_(ledger_, ms);
+  if (buf_ == nullptr) return ms;
+  if (unwinding) set_status(SpanStatus::kTerminal);
+
   std::shared_ptr<detail::TraceBuffer> buf = std::move(buf_);
   buf_.reset();
-  rec_.end_ns = Tracer::now_ns();
   const bool is_root = rec_.parent_id == 0;
   if (!is_root && buf->finished.load(std::memory_order_acquire)) {
     // The root already sealed this trace (a straggler from a queue that
     // outlived its request) — recording it would race the publish.
     TracerMetrics::get().stray_spans.inc();
-    return;
+    return ms;
   }
   {
     const sp::MutexLock lock(buf->mutex);
@@ -201,6 +241,7 @@ void Span::end() {
     buf->finished.store(true, std::memory_order_release);
     Tracer::global().finish(buf);
   }
+  return ms;
 }
 
 // ---------------------------------------------------------- ContextGuard
@@ -303,6 +344,13 @@ std::uint64_t Tracer::now_ns() {
 
 TraceContext Tracer::current() { return current_slot(); }
 
+Span Tracer::new_root(std::string_view name, TraceId id) {
+  auto buf = std::make_shared<detail::TraceBuffer>();
+  buf->id = id;
+  // Under a context naming span 0, the reserved id 1 becomes the root.
+  return Span(TraceContext(std::move(buf), 0), name, 0, 1);
+}
+
 Span Tracer::start_trace(std::string_view name) {
   if (!enabled_.load(std::memory_order_relaxed)) return {};
   TracerMetrics& metrics = TracerMetrics::get();
@@ -313,16 +361,7 @@ Span Tracer::start_trace(std::string_view name) {
   // decision replays from the id alone.
   if (thr != ~0ull && id.lo >= thr) return {};
   metrics.sampled.inc();
-  auto buf = std::make_shared<detail::TraceBuffer>();
-  buf->id = id;
-  Span root;
-  root.buf_ = buf;
-  root.rec_.span_id = 1;
-  root.rec_.parent_id = 0;
-  root.rec_.name.assign(name);
-  root.rec_.start_ns = now_ns();
-  root.rec_.thread = this_thread_key();
-  return root;
+  return new_root(name, id);
 }
 
 Span Tracer::start_trace_forced(std::string_view name) {
@@ -330,16 +369,7 @@ Span Tracer::start_trace_forced(std::string_view name) {
   TracerMetrics& metrics = TracerMetrics::get();
   metrics.started.inc();
   metrics.sampled.inc();
-  auto buf = std::make_shared<detail::TraceBuffer>();
-  buf->id = TraceId{next_random_u64(), next_random_u64()};
-  Span root;
-  root.buf_ = buf;
-  root.rec_.span_id = 1;
-  root.rec_.parent_id = 0;
-  root.rec_.name.assign(name);
-  root.rec_.start_ns = now_ns();
-  root.rec_.thread = this_thread_key();
-  return root;
+  return new_root(name, TraceId{next_random_u64(), next_random_u64()});
 }
 
 Tracer::ThreadRings& Tracer::rings_for_this_thread() {

@@ -1,25 +1,31 @@
-// Request-lifecycle tracing for the serving stack.
+// The one timing primitive of the serving stack: obs::Span.
 //
-// Two layers live here:
+// A Span brackets one phase with a single pair of clock reads and hands the
+// same measured interval to up to three consumers:
 //
-//  * TraceSpan — the PR 4 RAII phase timer feeding a Histogram (and
-//    optionally a request CostLedger). It is the flat, aggregate view.
-//  * The span-tree tracer (PR 9) — 128-bit trace ids, parent/child spans
-//    with attributes/status/links, a request-scoped TraceContext that is
-//    propagated explicitly through Session/ThreadPool/VerifyQueue/WAL, and
-//    a lock-free per-thread ring collector with head-based sampling plus
-//    tail-based keep rules (errored and slowest-p99 traces survive even
-//    when the recent ring wraps). docs/OBSERVABILITY.md has the span
-//    catalog; DESIGN.md §12 the architecture.
+//  * a Histogram (optional) — the aggregate view, e.g. sp_phase_latency_ms;
+//  * a request CostLedger (optional) — the paper's Fig. 10 local-time
+//    accounting. It is charged whether or not metrics or tracing are on;
+//  * the span-tree tracer — only when the parent context is sampled:
+//    128-bit trace ids, parent/child spans with attributes/status/links, a
+//    request-scoped TraceContext propagated explicitly through
+//    Session/ThreadPool/VerifyQueue/WAL, and a lock-free per-thread ring
+//    collector with head-based sampling plus tail-based keep rules (errored
+//    and slowest-p99 traces survive even when the recent ring wraps).
+//
+// Because all three read the same interval, the ledger's local ms, the
+// phase histograms and the trace tree agree by construction.
+// docs/OBSERVABILITY.md has the span catalog; DESIGN.md §12 the
+// architecture.
 //
 // Cost model, in order of importance:
 //
-//  * Tracing disabled (the default): Tracer::start_trace is one relaxed
-//    load; every Span/TraceContext operation on an unsampled context is a
-//    null-pointer check. No clock reads, no allocation — the ≈0% arm of
-//    the bench A/B.
-//  * Head-unsampled request (the 99% at 1% sampling): one relaxed load plus
-//    one thread-local PRNG step; everything downstream no-ops as above.
+//  * Nothing attached (no histogram or a disabled registry, no ledger,
+//    unsampled parent): a few null checks — no clock read, no allocation.
+//    Tracer::start_trace with tracing disabled is one relaxed load.
+//  * Histogram and/or ledger on an unsampled request (the 99% at 1%
+//    sampling): two steady-clock reads plus the histogram's relaxed
+//    fetch_adds — the serving path's metrics cost.
 //  * Sampled request: spans append to a per-request buffer under its own
 //    mutex (uncontended except when VerifyQueue workers finish jobs for the
 //    same request); the finished trace is published to a per-thread ring
@@ -33,11 +39,11 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,52 +52,6 @@
 #include "support/thread_annotations.hpp"
 
 namespace sp::obs {
-
-class TraceSpan {
- public:
-  /// Histogram-only phase (SP-side or network-side work that the receiver's
-  /// ledger does not account as local time).
-  explicit TraceSpan(Histogram& hist) : hist_(&hist), active_(hist.enabled()) {
-    if (active_) start_ = Clock::now();
-  }
-
-  /// Phase that also charges the request's ledger. Always times: the ledger
-  /// is per-request protocol accounting, not metrics.
-  template <typename Ledger>
-  TraceSpan(Histogram& hist, Ledger& ledger)
-      : hist_(&hist),
-        sink_(&ledger),
-        add_ms_([](void* sink, double ms) { static_cast<Ledger*>(sink)->add_local_measured(ms); }),
-        active_(true) {
-    start_ = Clock::now();
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  ~TraceSpan() { stop(); }
-
-  /// Ends the span early (idempotent). Returns the measured wall ms, 0 when
-  /// the span never armed.
-  double stop() {
-    if (!active_) return 0;
-    active_ = false;
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start_).count();
-    hist_->observe(ms);
-    if (add_ms_ != nullptr) add_ms_(sink_, ms);
-    return ms;
-  }
-
- private:
-  using Clock = std::chrono::steady_clock;
-
-  Histogram* hist_;
-  void* sink_ = nullptr;
-  void (*add_ms_)(void*, double) = nullptr;
-  bool active_;
-  Clock::time_point start_{};
-};
 
 // ======================================================================
 // Span-tree tracer
@@ -204,17 +164,38 @@ class TraceContext {
 /// VerifyQueue batch-link mechanism.
 [[nodiscard]] std::uint64_t reserve_span_id(const TraceContext& ctx);
 
-/// RAII span. Move-only; ends (and records itself) on destruction or
-/// explicit end(). All mutators no-op when the span is not recording.
+/// RAII phase timer and trace span. Move-only; ends on destruction or an
+/// explicit end(). The attribute/status/link mutators no-op unless the span
+/// is recording (its parent context was sampled).
+///
+/// A span ended by stack unwinding (an exception escaped its scope) records
+/// SpanStatus::kTerminal, so a request that throws exports an errored trace,
+/// and observes no histogram sample: an interrupted phase is not a latency.
 class Span {
  public:
   Span() = default;
-  /// Child span under `parent`, started now.
-  Span(const TraceContext& parent, std::string_view name);
-  /// Child span with an explicit start timestamp (queue-wait spans measured
-  /// from enqueue time) and optionally a pre-reserved id (0 = allocate).
+  /// Trace-only child span under `parent`, started now.
+  Span(const TraceContext& parent, std::string_view name) { start(parent, name, 0, 0); }
+  /// Phase span that also observes `hist` (when its registry is enabled).
+  Span(const TraceContext& parent, std::string_view name, Histogram& hist) : hist_(&hist) {
+    start(parent, name, 0, 0);
+  }
+  /// Phase span that also charges `ledger` — a CostLedger-like type with
+  /// add_local_measured(double ms), or a plain double accumulating ms. The
+  /// ledger is protocol accounting, not metrics: it is charged whether or
+  /// not the registry or the tracer is enabled.
+  template <typename Ledger>
+  Span(const TraceContext& parent, std::string_view name, Histogram& hist, Ledger& ledger)
+      : hist_(&hist), ledger_(&ledger), charge_(&charge<Ledger>) {
+    start(parent, name, 0, 0);
+  }
+  /// Trace-only child span with an explicit start timestamp (queue-wait
+  /// spans measured from enqueue time) and optionally a pre-reserved id
+  /// (0 = allocate).
   Span(const TraceContext& parent, std::string_view name, std::uint64_t start_ns,
-       std::uint64_t reserved_id = 0);
+       std::uint64_t reserved_id = 0) {
+    start(parent, name, start_ns, reserved_id);
+  }
 
   Span(Span&& other) noexcept;
   Span& operator=(Span&& other) noexcept;
@@ -227,6 +208,11 @@ class Span {
   [[nodiscard]] TraceContext context() const;
   [[nodiscard]] std::uint64_t span_id() const { return rec_.span_id; }
 
+  /// Sets the histogram end() observes, for a series known only once the
+  /// phase finished (the access outcome). Starts the clock if the span was
+  /// not timing yet; call it before end().
+  void set_histogram(Histogram& hist);
+
   void set_status(SpanStatus status);
   void add_attr(std::string_view key, std::string_view value);
   void add_attr(std::string_view key, std::int64_t value);
@@ -234,16 +220,37 @@ class Span {
   void add_link(TraceId trace, std::uint64_t span);
   void add_link(const SpanLink& link) { add_link(link.trace, link.span); }
 
-  /// Ends the span (idempotent): stamps end_ns and appends the record to
-  /// the trace buffer. Ending a root span finishes the whole trace and
-  /// publishes it to the collector.
-  void end();
+  /// Ends the span (idempotent): reads the clock once, observes the
+  /// histogram, charges the ledger and, when recording, appends the record
+  /// to the trace buffer — all with the same interval. Ending a root span
+  /// finishes the whole trace and publishes it to the collector. Returns the
+  /// measured ms, 0 when the span was not timing.
+  double end();
 
  private:
   friend class Tracer;
 
-  std::shared_ptr<detail::TraceBuffer> buf_;
-  SpanRecord rec_;
+  template <typename Ledger>
+  static void charge(void* ledger, double ms) {
+    if constexpr (std::is_arithmetic_v<Ledger>) {
+      *static_cast<Ledger*>(ledger) += ms;
+    } else {
+      static_cast<Ledger*>(ledger)->add_local_measured(ms);
+    }
+  }
+
+  /// Joins the trace when `parent` is sampled, then starts the clock unless
+  /// nothing would consume the interval.
+  void start(const TraceContext& parent, std::string_view name, std::uint64_t start_ns,
+             std::uint64_t reserved_id);
+
+  std::shared_ptr<detail::TraceBuffer> buf_;  ///< null unless recording
+  SpanRecord rec_;                            ///< start_ns is the clock start
+  Histogram* hist_ = nullptr;
+  void* ledger_ = nullptr;
+  void (*charge_)(void*, double) = nullptr;
+  bool timing_ = false;
+  int uncaught_ = 0;  ///< std::uncaught_exceptions() when timing started
 };
 
 /// Installs `ctx` as the calling thread's current context for the guard's
@@ -329,6 +336,8 @@ class Tracer {
   /// tail-based keep rules and publishes to the calling thread's rings.
   void finish(const std::shared_ptr<detail::TraceBuffer>& buf);
   ThreadRings& rings_for_this_thread();
+  /// Root span (id 1) of a new, sampled trace.
+  static Span new_root(std::string_view name, TraceId id);
 
   std::atomic<bool> enabled_{false};
   /// Head-sampling threshold over the uniform low word of the trace id;

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
@@ -86,8 +85,10 @@ DurableStore::~DurableStore() = default;
 
 DurableStore::RecoveryStats DurableStore::recover(const Applier& apply) {
   if (writer_) throw std::logic_error("DurableStore::recover: already recovered");
-  const auto t0 = std::chrono::steady_clock::now();
   RecoveryStats stats;
+  StoreMetrics& m = StoreMetrics::get();
+  obs::Span recover_span(obs::Tracer::current(), "storage.recover", m.recovery_ms,
+                         stats.elapsed_ms);
 
   std::vector<std::uint64_t> seg_epochs;
   std::vector<std::uint64_t> wal_epochs;
@@ -146,10 +147,7 @@ DurableStore::RecoveryStats DurableStore::recover(const Applier& apply) {
   }
   writer_ = std::make_unique<WalWriter>(wal_path(opts_.dir, newest_epoch), opts_.wal);
 
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  stats.elapsed_ms = std::chrono::duration<double, std::milli>(dt).count();
-  StoreMetrics& m = StoreMetrics::get();
-  m.recovery_ms.observe(stats.elapsed_ms);
+  recover_span.end();
   m.recovered_records.inc(stats.segment_records + stats.wal_records);
   return stats;
 }

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -206,13 +205,10 @@ void WalWriter::write_batch(std::vector<Pending>& batch) {
         metrics.wal_bytes.inc(buffer.size());
       }
       if (opts_.fsync == Fsync::kBatch) {
-        obs::Span fsync_span(batch_ctx, "wal.fsync");
-        const auto t0 = std::chrono::steady_clock::now();
+        const obs::Span fsync_span(batch_ctx, "wal.fsync", metrics.fsync_ms);
         if (::fdatasync(fd_) != 0) {
           throw std::runtime_error(std::string("fdatasync: ") + std::strerror(errno));
         }
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        metrics.fsync_ms.observe(std::chrono::duration<double, std::milli>(dt).count());
       }
       metrics.batches.inc();
       metrics.appends.inc(records);

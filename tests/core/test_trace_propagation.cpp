@@ -17,6 +17,7 @@
 
 #include "codec/trace_records.hpp"
 #include "core/session.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/fixtures.hpp"
 
@@ -321,6 +322,109 @@ TEST(TracePropagation, WalGroupCommitLinksBackToTheOriginRequest) {
     }
   }
   EXPECT_TRUE(linked_to_origin);
+}
+
+/// Every sp_phase_latency_ms series the serving path observes.
+const std::vector<std::string>& phase_names() {
+  static const std::vector<std::string> names = {
+      "c1.display", "c1.answer_hashes", "c1.sig_verify", "c1.interpolate",
+      "c2.display", "c2.answer_hashes", "c2.access",     "c2.reconstruct",
+      "c2.keygen",  "c2.decrypt",       "sp.verify",     "dh.fetch",
+      "verify.wait"};
+  return names;
+}
+
+std::map<std::string, std::uint64_t> phase_counts() {
+  std::map<std::string, std::uint64_t> counts;
+  for (const std::string& name : phase_names()) {
+    counts[name] = sp::obs::MetricsRegistry::global()
+                       .histogram("sp_phase_latency_ms", "",
+                                  sp::obs::Histogram::default_latency_bounds_ms(),
+                                  {{"phase", name}})
+                       .count();
+  }
+  return counts;
+}
+
+TEST(TracePropagation, LedgerMetricsAndTraceAgreeOnEveryPhase) {
+  sp::core::SessionConfig cfg = toy_config("trace-agreement");
+  cfg.cache = sp::core::CacheConfig{};  // second accesses take the cache-hit intervals
+  FanoutRig rig(cfg, 1);
+  const TracerOn tracer_on;
+  // The spans that charge the receiver's ledger with local time.
+  const std::vector<std::string> ledger_phases = {"c1.answer_hashes", "c1.sig_verify",
+                                                  "c1.interpolate", "c2.answer_hashes",
+                                                  "c2.access"};
+  std::optional<TraceData> c2_miss;
+
+  for (const std::string& post : {rig.c1_post_, rig.c2_post_, rig.c1_post_, rig.c2_post_}) {
+    const auto before = phase_counts();
+    const auto result = rig.session_.access_with_retries(
+        rig.receivers_[0], post, Knowledge::full(rig.ctx_), sp::net::pc_profile());
+    ASSERT_TRUE(result.success());
+    const auto after = phase_counts();
+    const auto traces = Tracer::global().drain();
+    ASSERT_EQ(traces.size(), 1u);
+    const TraceData& t = traces.front();
+    if (post == rig.c2_post_ && !c2_miss) c2_miss = t;
+
+    double ledger_spans_ms = 0;
+    for (const std::string& name : ledger_phases) {
+      for (const SpanRecord* s : spans_named(t, name)) ledger_spans_ms += s->duration_ms();
+    }
+    EXPECT_NEAR(ledger_spans_ms, result.cost.local_ms(), 1e-6) << post;
+    for (const std::string& name : phase_names()) {
+      EXPECT_EQ(after.at(name) - before.at(name), spans_named(t, name).size())
+          << post << " phase " << name;
+    }
+  }
+
+  // The full C2 path (the first C2 access missed the cache) is explained
+  // below c2.access by its three receiver-side phases.
+  ASSERT_TRUE(c2_miss.has_value());
+  const auto access = spans_named(*c2_miss, "c2.access");
+  ASSERT_EQ(access.size(), 1u);
+  EXPECT_EQ(attr(*access.front(), "cache"), "miss");
+  for (const std::string name : {"c2.reconstruct", "c2.keygen", "c2.decrypt"}) {
+    const auto phase = spans_named(*c2_miss, name);
+    ASSERT_EQ(phase.size(), 1u) << name;
+    EXPECT_EQ(phase.front()->parent_id, access.front()->span_id) << name;
+  }
+}
+
+TEST(TracePropagation, RequestThatThrowsExportsAnErroredTrace) {
+  FanoutRig rig(toy_config("trace-throw"), 1);
+  const sp::osn::UserId stranger = rig.session_.register_user("stranger");
+  const TracerOn tracer_on;
+  struct Case {
+    sp::osn::UserId receiver;
+    std::string post;
+  };
+  const std::vector<Case> cases = {{rig.receivers_[0], "no-such-post"},
+                                   {stranger, rig.c1_post_}};
+  for (const Case& c : cases) {
+    EXPECT_ANY_THROW((void)rig.session_.access_with_retries(
+        c.receiver, c.post, Knowledge::full(rig.ctx_), sp::net::pc_profile()));
+    auto traces = Tracer::global().drain();
+    ASSERT_EQ(traces.size(), 1u) << c.post;
+    EXPECT_TRUE(traces.front().errored) << c.post;
+    const SpanRecord* root = span_by_id(traces.front(), 1);
+    ASSERT_NE(root, nullptr);
+    EXPECT_EQ(root->status, SpanStatus::kTerminal);
+    const auto access = spans_named(traces.front(), "sp.access");
+    ASSERT_EQ(access.size(), 1u);
+    EXPECT_EQ(access.front()->status, SpanStatus::kTerminal);
+
+    sp::core::Session::AccessRequest req;
+    req.receiver = c.receiver;
+    req.post_id = c.post;
+    req.knowledge = Knowledge::full(rig.ctx_);
+    const std::vector<sp::core::Session::AccessRequest> batch = {req};
+    EXPECT_ANY_THROW((void)rig.session_.access_parallel(batch, 1));
+    traces = Tracer::global().drain();
+    ASSERT_EQ(traces.size(), 1u) << c.post;
+    EXPECT_TRUE(traces.front().errored) << c.post;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the observability instruments: counters, gauges, histogram
 // bucket/percentile math, registration rules (the secret-hygiene charset),
-// the no-op mode, TraceSpan, and both exposition formats.
+// the no-op mode, Span phase timing, and both exposition formats.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -18,7 +18,8 @@ namespace {
 
 using sp::obs::Histogram;
 using sp::obs::MetricsRegistry;
-using sp::obs::TraceSpan;
+using sp::obs::Span;
+using sp::obs::TraceContext;
 
 TEST(MetricsTest, CounterIncrementsAndMerges) {
   MetricsRegistry reg;
@@ -321,7 +322,7 @@ TEST(MetricsTest, JsonSnapshotIsWellFormedAndComplete) {
   EXPECT_NE(json.find("Requests \\\"served\\\""), std::string::npos);
 }
 
-/// Ledger stand-in: TraceSpan's template constructor only needs
+/// Ledger stand-in: Span's ledger constructor only needs
 /// add_local_measured(double).
 struct FakeLedger {
   double total_ms = 0;
@@ -333,7 +334,7 @@ TEST(TraceSpanTest, FeedsHistogramAndLedger) {
   auto& h = reg.histogram("phase_ms", "", {1000});
   FakeLedger ledger;
   {
-    TraceSpan span(h, ledger);
+    Span span(TraceContext{}, "phase", h, ledger);
     (void)span;
   }
   EXPECT_EQ(h.count(), 1u);
@@ -343,12 +344,15 @@ TEST(TraceSpanTest, FeedsHistogramAndLedger) {
 TEST(TraceSpanTest, StopIsIdempotentAndReturnsElapsed) {
   MetricsRegistry reg;
   auto& h = reg.histogram("phase_ms", "", {1000});
-  TraceSpan span(h);
-  const double first = span.stop();
-  const double second = span.stop();
-  EXPECT_GE(first, 0.0);
+  Span span(TraceContext{}, "phase", h);
+  volatile double sink = 0;
+  for (int i = 0; i < 2000000; ++i) sink = sink + i * 0.5;
+  const double first = span.end();
+  const double second = span.end();
+  EXPECT_GT(first, 0.0);  // measures real elapsed time
   EXPECT_EQ(second, 0.0);
   EXPECT_EQ(h.count(), 1u);
+  EXPECT_NEAR(h.sum_ms(), first, 1e-3);  // the histogram saw the same interval
 }
 
 TEST(TraceSpanTest, DisabledRegistrySkipsHistogramButNotLedger) {
@@ -356,14 +360,14 @@ TEST(TraceSpanTest, DisabledRegistrySkipsHistogramButNotLedger) {
   auto& h = reg.histogram("phase_ms", "", {1000});
   reg.set_enabled(false);
   {
-    TraceSpan span(h);
-    (void)span;
+    Span span(TraceContext{}, "phase", h);
+    EXPECT_EQ(span.end(), 0.0);  // nothing consumes the interval: no clock read
   }
   EXPECT_EQ(h.count(), 0u);
   // The ledger is protocol cost accounting, not metrics: it always times.
   FakeLedger ledger;
   {
-    TraceSpan span(h, ledger);
+    Span span(TraceContext{}, "phase", h, ledger);
     (void)span;
   }
   EXPECT_GT(ledger.total_ms, 0.0);

@@ -145,8 +145,8 @@ TEST(ObsConcurrencyHammer, TraceSpansFromManyThreads) {
     workers.emplace_back([&] {
       LocalLedger ledger;  // per-request (per-iteration owner = this thread)
       for (std::size_t i = 0; i < 500; ++i) {
-        sp::obs::TraceSpan span(hist, ledger);
-        span.stop();
+        sp::obs::Span span(sp::obs::TraceContext{}, "hammer", hist, ledger);
+        span.end();
       }
       if (ledger.total_ms >= 0) ledger_nonzero.fetch_add(1, std::memory_order_relaxed);
     });

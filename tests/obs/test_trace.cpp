@@ -11,10 +11,12 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_sink.hpp"
 
@@ -288,6 +290,58 @@ TEST_F(TraceTest, SlowTraceTriggersTheKeepRule) {
     slow.end();
   }
   EXPECT_GT(kept_slow.value(), before);
+}
+
+TEST_F(TraceTest, SampledSpanFeedsHistogramLedgerAndTraceOneInterval) {
+  sp::obs::MetricsRegistry reg;
+  auto& h = reg.histogram("phase_ms", "", {1000});
+  double ledger_ms = 0;
+  sp::obs::TraceId id;
+  {
+    Span root = Tracer::global().start_trace("request");
+    id = root.context().trace_id();
+    Span phase(root.context(), "phase", h, ledger_ms);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(phase.end(), ledger_ms);
+  }
+  const auto traces = Tracer::global().drain();
+  ASSERT_EQ(traces.size(), 1u);
+  const SpanRecord* phase = find(traces.front(), "phase");
+  ASSERT_NE(phase, nullptr);
+  // One pair of clock reads: the ledger charge IS the span's duration.
+  EXPECT_EQ(phase->duration_ms(), ledger_ms);
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_NEAR(h.sum_ms(), ledger_ms, 1e-3);
+  // A traced sample names its trace as the histogram's exemplar.
+  const auto ex = h.exemplar();
+  ASSERT_TRUE(ex.has_value());
+  EXPECT_EQ(ex->trace_hi, id.hi);
+  EXPECT_EQ(ex->trace_lo, id.lo);
+}
+
+TEST_F(TraceTest, SpanUnwoundByAnExceptionIsTerminalAndSkipsItsHistogram) {
+  sp::obs::MetricsRegistry reg;
+  auto& h = reg.histogram("phase_ms", "", {1000});
+  double ledger_ms = 0;
+  {
+    Span root = Tracer::global().start_trace("request");
+    try {
+      Span phase(root.context(), "phase", h, ledger_ms);
+      throw std::runtime_error("phase failed");
+    } catch (const std::runtime_error&) {
+    }
+  }
+  const auto traces = Tracer::global().drain();
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_TRUE(traces.front().errored);
+  const SpanRecord* phase = find(traces.front(), "phase");
+  ASSERT_NE(phase, nullptr);
+  EXPECT_EQ(phase->status, SpanStatus::kTerminal);
+  const SpanRecord* root = find(traces.front(), "request");
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->status, SpanStatus::kOk);  // caught below the root
+  EXPECT_EQ(h.count(), 0u);  // an interrupted phase is not a latency sample
+  EXPECT_EQ(ledger_ms, phase->duration_ms());  // the ledger still paid for it
 }
 
 TEST_F(TraceTest, TraceIdHexIs32LowercaseDigits) {
