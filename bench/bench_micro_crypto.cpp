@@ -119,6 +119,36 @@ void BM_FpInv(benchmark::State& state) {
 }
 BENCHMARK(BM_FpInv);
 
+/// One multiply of the fixed-width Montgomery limbs every curve and pairing
+/// loop runs on (BM_FpMulMontgomery times the value-API Fp).
+void BM_FeMul(benchmark::State& state) {
+  const auto& params = ec::preset_params(ec::ParamPreset::kFull);
+  const field::MontField& f = *params.fp->mont_field();
+  crypto::Drbg rng("bm-femul");
+  const field::Fe b = f.from_big(field::Fp::random(params.fp, rng).value());
+  field::Fe acc = f.from_big(field::Fp::random(params.fp, rng).value());
+  for (auto _ : state) {
+    acc = f.mul(acc, b);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FeMul);
+
+/// One Karatsuba F_{p²} multiply on limbs (three BM_FeMul plus adds).
+void BM_Fe2Mul(benchmark::State& state) {
+  const auto& params = ec::preset_params(ec::ParamPreset::kFull);
+  const field::MontField& f = *params.fp->mont_field();
+  crypto::Drbg rng("bm-fe2mul");
+  const auto random_fe = [&] { return f.from_big(field::Fp::random(params.fp, rng).value()); };
+  const field::Fe2 b{random_fe(), random_fe()};
+  field::Fe2 acc{random_fe(), random_fe()};
+  for (auto _ : state) {
+    acc = f.mul(acc, b);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_Fe2Mul);
+
 void BM_ScalarMul(benchmark::State& state) {
   const ec::Curve curve(ec::preset_params(ec::ParamPreset::kFull));
   crypto::Drbg rng("bm-mul");

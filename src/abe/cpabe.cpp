@@ -132,17 +132,12 @@ std::pair<PublicKey, MasterKey> CpAbe::setup(crypto::Drbg& rng) const {
   pk.g = g;
   pk.h = curve_->mul(g, beta);
   pk.f = curve_->mul(g, BigInt::mod_inv(beta, curve_->order()));
-  // h carries the per-share exponent in every Encrypt (C = h^s); f is the
-  // delegation base. Register both alongside g for fixed-base windowing,
-  // and give the long-lived params Miller-line tables so any pairing
-  // against them (e(g,g) on a fresh CpAbe instance, delegation checks)
-  // skips the Miller point arithmetic process-wide.
-  curve_->precompute_fixed_base(pk.h);
-  curve_->precompute_fixed_base(pk.f);
+  // g is the one long-lived first pairing argument here (e(g,g) on a fresh
+  // CpAbe instance). h and f are per share: h is raised once per Encrypt
+  // and f is only serialized, so tables for them would cost more than they
+  // save and would evict g's and the Schnorr generator's from the FIFO.
   pairing_.precompute(g);
-  pairing_.precompute(pk.h);
-  pairing_.precompute(pk.f);
-  pk.e_gg_alpha = e_gg(g).pow(alpha);
+  pk.e_gg_alpha = pairing_.gt_pow(e_gg(g), alpha);
   MasterKey mk;
   mk.beta = beta;
   mk.g_alpha = curve_->mul(g, alpha);
@@ -211,8 +206,8 @@ std::pair<Ciphertext, Bytes> CpAbe::encrypt_key(const PublicKey& pk, const Acces
   const BigInt s = rand_scalar(rng);
   // KEM message: random target-group element M = e(g,g)^z.
   const BigInt z = rand_scalar(rng);
-  const Fp2 m = e_gg(pk.g).pow(z);
-  ct.c_tilde = m * pk.e_gg_alpha.pow(s);
+  const Fp2 m = pairing_.gt_pow(e_gg(pk.g), z);
+  ct.c_tilde = m * pairing_.gt_pow(pk.e_gg_alpha, s);
   ct.c = curve_->mul(pk.h, s);
   std::size_t next_id = 0;
   share_secret(policy.root(), s, next_id, ct, rng);
@@ -271,7 +266,7 @@ std::optional<Fp2> CpAbe::decrypt_node(const PrivateKey& sk, const Ciphertext& c
       den = BigInt::mod_mul(den, (xi - xj).mod(q), q);
     }
     const BigInt coeff = BigInt::mod_mul(num, BigInt::mod_inv(den, q), q);
-    acc = acc * available[i].second.pow(coeff);
+    acc = acc * pairing_.gt_pow(available[i].second, coeff);
   }
   return acc;
 }

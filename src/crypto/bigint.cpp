@@ -515,9 +515,8 @@ MontCtx::MontCtx(const BigInt& modulus) {
   for (int i = 0; i < 5; ++i) x *= 2 - m0 * x;
   m0inv_ = ~x + 1;
   one_ = (BigInt{1} << (64 * n_)).mod(m_);
-  r2_ = (BigInt{1} << (128 * n_)).mod(m_);
   r2limbs_.assign(n_, 0);
-  load(r2_, r2limbs_.data());
+  load((BigInt{1} << (128 * n_)).mod(m_), r2limbs_.data());
 }
 
 void MontCtx::load(const BigInt& x, u64* out) const {
@@ -587,37 +586,6 @@ void MontCtx::cios(const u64* a, const u64* b, u64* out) const {
   }
 }
 
-BigInt MontCtx::to_mont(const BigInt& x) const {
-  const BigInt r = (x.negative_ || cmp_arg_ge(x)) ? x.mod(m_) : x;
-  u64 xa[kMaxLimbs];
-  u64 res[kMaxLimbs];
-  load(r, xa);
-  cios(xa, r2limbs_.data(), res);
-  return store(res);
-}
-
-BigInt MontCtx::from_mont(const BigInt& x) const {
-  const BigInt r = (x.negative_ || cmp_arg_ge(x)) ? x.mod(m_) : x;
-  u64 xa[kMaxLimbs];
-  u64 oneraw[kMaxLimbs] = {1};
-  u64 res[kMaxLimbs];
-  load(r, xa);
-  cios(xa, oneraw, res);
-  return store(res);
-}
-
-BigInt MontCtx::mont_mul(const BigInt& a, const BigInt& b) const {
-  const BigInt ra = (a.negative_ || cmp_arg_ge(a)) ? a.mod(m_) : a;
-  const BigInt rb = (b.negative_ || cmp_arg_ge(b)) ? b.mod(m_) : b;
-  u64 aa[kMaxLimbs];
-  u64 ba[kMaxLimbs];
-  u64 res[kMaxLimbs];
-  load(ra, aa);
-  load(rb, ba);
-  cios(aa, ba, res);
-  return store(res);
-}
-
 BigInt MontCtx::mul(const BigInt& a, const BigInt& b) const {
   const BigInt ra = (a.negative_ || cmp_arg_ge(a)) ? a.mod(m_) : a;
   const BigInt rb = (b.negative_ || cmp_arg_ge(b)) ? b.mod(m_) : b;
@@ -664,16 +632,6 @@ void MontCtx::pow_raw(const u64* base_mont, const BigInt& exp, u64* out) const {
   std::copy(acc, acc + n_, out);
 }
 
-BigInt MontCtx::pow_mont(const BigInt& base_mont, const BigInt& exp) const {
-  if (exp.is_negative()) throw std::domain_error("MontCtx::pow_mont: negative exponent");
-  const BigInt rb = (base_mont.negative_ || cmp_arg_ge(base_mont)) ? base_mont.mod(m_) : base_mont;
-  u64 ba[kMaxLimbs];
-  u64 res[kMaxLimbs];
-  load(rb, ba);
-  pow_raw(ba, exp, res);
-  return store(res);
-}
-
 BigInt MontCtx::pow(const BigInt& base, const BigInt& exp) const {
   if (exp.is_negative()) throw std::domain_error("MontCtx::pow: negative exponent");
   const BigInt rb = (base.negative_ || cmp_arg_ge(base)) ? base.mod(m_) : base;
@@ -685,75 +643,6 @@ BigInt MontCtx::pow(const BigInt& base, const BigInt& exp) const {
   pow_raw(ba, exp, res);
   cios(res, oneraw, res);         // back to canonical
   return store(res);
-}
-
-void MontCtx::to_mont_raw(const BigInt& x, u64* out) const {
-  const BigInt r = (x.negative_ || cmp_arg_ge(x)) ? x.mod(m_) : x;
-  u64 xa[kMaxLimbs];
-  load(r, xa);
-  cios(xa, r2limbs_.data(), out);
-}
-
-BigInt MontCtx::from_mont_raw(const u64* x) const {
-  u64 oneraw[kMaxLimbs] = {1};
-  u64 res[kMaxLimbs];
-  cios(x, oneraw, res);
-  return store(res);
-}
-
-void MontCtx::mul_raw(const u64* a, const u64* b, u64* out) const { cios(a, b, out); }
-
-void MontCtx::add_raw(const u64* a, const u64* b, u64* out) const {
-  const std::size_t n = n_;
-  const u64* m = mlimbs_.data();
-  u64 t[kMaxLimbs];
-  u64 carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const u128 s = static_cast<u128>(a[i]) + b[i] + carry;
-    t[i] = static_cast<u64>(s);
-    carry = static_cast<u64>(s >> 64);
-  }
-  // Inputs < m, so a + b < 2m: at most one subtraction canonicalizes.
-  bool ge = carry != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = n; i-- > 0;) {
-      if (t[i] != m[i]) {
-        ge = t[i] > m[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    u64 borrow = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const u128 need = static_cast<u128>(m[i]) + borrow;
-      out[i] = static_cast<u64>(static_cast<u128>(t[i]) - need);
-      borrow = static_cast<u128>(t[i]) < need ? 1 : 0;
-    }
-  } else {
-    std::copy(t, t + n, out);
-  }
-}
-
-void MontCtx::sub_raw(const u64* a, const u64* b, u64* out) const {
-  const std::size_t n = n_;
-  const u64* m = mlimbs_.data();
-  u64 borrow = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const u64 ai = a[i];  // out may alias a: read before the write below
-    const u128 need = static_cast<u128>(b[i]) + borrow;
-    out[i] = static_cast<u64>(static_cast<u128>(ai) - need);
-    borrow = static_cast<u128>(ai) < need ? 1 : 0;
-  }
-  if (borrow) {
-    u64 carry = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const u128 s = static_cast<u128>(out[i]) + m[i] + carry;
-      out[i] = static_cast<u64>(s);
-      carry = static_cast<u64>(s >> 64);
-    }
-  }
 }
 
 bool MontCtx::cmp_arg_ge(const BigInt& x) const {

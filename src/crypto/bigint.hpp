@@ -116,8 +116,12 @@ class BigInt {
 /// modulus's limb count n. Multiplication is CIOS (coarsely integrated
 /// operand scanning) over the 64-bit limb vector — one interleaved
 /// multiply-and-REDC pass, no divisions and no heap traffic beyond the
-/// result — and exponentiation is fixed-window (w = 4). This is the fast
-/// substrate under FpCtx; the Barrett path in field/fp stays alive as the
+/// result — and exponentiation is fixed-window (w = 4). This is the
+/// substrate under the value-API FpCtx, at any width up to kMaxLimbs; its
+/// inputs and outputs are BigInts, so each canonical-domain multiply pays
+/// two passes plus heap traffic. The curve and pairing loops instead run on
+/// the fixed-width, Montgomery-resident field::MontField
+/// (field/mont_field.hpp). The Barrett path in field/fp stays alive as the
 /// randomized-equivalence oracle.
 ///
 /// Not constant-time (final conditional subtraction, windowed exponent
@@ -134,43 +138,11 @@ class MontCtx {
   /// Throws std::invalid_argument unless usable(modulus).
   explicit MontCtx(const BigInt& modulus);
 
-  [[nodiscard]] const BigInt& modulus() const { return m_; }
-  [[nodiscard]] std::size_t limb_count() const { return n_; }
-
-  // -- Montgomery-domain operations (inputs/outputs are x·R mod m) --------
-  /// x in [0, m) -> x·R mod m.
-  [[nodiscard]] BigInt to_mont(const BigInt& x) const;
-  /// x·R mod m -> x.
-  [[nodiscard]] BigInt from_mont(const BigInt& x) const;
-  /// One REDC pass: (a·b)·R^{-1} mod m — the domain-preserving product.
-  [[nodiscard]] BigInt mont_mul(const BigInt& a, const BigInt& b) const;
-  /// R mod m — the multiplicative identity of the Montgomery domain.
-  [[nodiscard]] const BigInt& one_mont() const { return one_; }
-  /// base^exp with base and result in the Montgomery domain (exp plain,
-  /// non-negative). Fixed-window w = 4.
-  [[nodiscard]] BigInt pow_mont(const BigInt& base_mont, const BigInt& exp) const;
-
-  // -- canonical-domain conveniences (inputs/outputs in [0, m)) -----------
+  // Inputs and outputs are canonical values in [0, m).
   /// (a·b) mod m via two REDC passes.
   [[nodiscard]] BigInt mul(const BigInt& a, const BigInt& b) const;
   /// base^exp mod m (exp non-negative), windowed in the Montgomery domain.
   [[nodiscard]] BigInt pow(const BigInt& base, const BigInt& exp) const;
-
-  // -- raw-limb interface for hot loops (EC Jacobian ladder) --------------
-  // Values are limb_count()-limb little-endian arrays in the Montgomery
-  // domain, always reduced to [0, m). Staying on raw arrays skips the
-  // BigInt heap traffic and the second REDC pass that the canonical-domain
-  // conveniences pay on every multiply. All out pointers may alias inputs.
-  /// Canonical x (any sign/width) -> x·R mod m as raw limbs.
-  void to_mont_raw(const BigInt& x, std::uint64_t* out) const;
-  /// Raw Montgomery limbs -> canonical BigInt in [0, m).
-  [[nodiscard]] BigInt from_mont_raw(const std::uint64_t* x) const;
-  /// out = (a·b)·R^{-1} mod m — domain-preserving product (one CIOS pass).
-  void mul_raw(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const;
-  /// out = (a + b) mod m.
-  void add_raw(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const;
-  /// out = (a - b) mod m.
-  void sub_raw(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const;
 
  private:
   /// Pads a reduced BigInt into an n_-limb little-endian array.
@@ -178,16 +150,15 @@ class MontCtx {
   [[nodiscard]] BigInt store(const std::uint64_t* limbs) const;
   /// CIOS multiply-and-reduce: out = (a·b)·R^{-1} mod m, all n_-limb arrays.
   void cios(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const;
-  /// Raw-array windowed pow used by both pow() and pow_mont().
+  /// Raw-array windowed pow behind pow().
   void pow_raw(const std::uint64_t* base_mont, const BigInt& exp, std::uint64_t* out) const;
   /// |x| >= m (used to decide whether an input needs a reducing mod()).
   [[nodiscard]] bool cmp_arg_ge(const BigInt& x) const;
 
   BigInt m_;
-  BigInt r2_;                         ///< R² mod m (to_mont multiplier)
   BigInt one_;                        ///< R mod m
   std::vector<std::uint64_t> mlimbs_; ///< modulus, padded to n_
-  std::vector<std::uint64_t> r2limbs_;
+  std::vector<std::uint64_t> r2limbs_; ///< R² mod m (into-Montgomery multiplier)
   std::uint64_t m0inv_ = 0;           ///< -m^{-1} mod 2^64
   std::size_t n_ = 0;
 };

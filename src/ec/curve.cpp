@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "crypto/sha256.hpp"
+#include "ec/jacobian.hpp"
 #include "support/mutex.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -18,8 +19,10 @@ Curve::Curve(CurveParams params) : params_(std::move(params)) {
   if ((params_.h * params_.q) != params_.fp->p() + BigInt{1}) {
     throw std::invalid_argument("Curve: h * q must equal p + 1");
   }
-  consts_ = Consts{Fp::one(params_.fp), Fp(params_.fp, BigInt{2}), Fp(params_.fp, BigInt{3}),
-                   Fp(params_.fp, BigInt{4}), Fp(params_.fp, BigInt{8})};
+  if (!params_.fp->mont_field()) throw std::invalid_argument("Curve: p must be below 2^512");
+  one_ = Fp::one(params_.fp);
+  two_ = Fp(params_.fp, BigInt{2});
+  three_ = Fp(params_.fp, BigInt{3});
 }
 
 Fp Curve::rhs(const Fp& x) const { return x * x * x + x; }
@@ -38,8 +41,8 @@ Point Curve::dbl(const Point& a) const {
   if (a.is_infinity()) return a;
   if (a.y().is_zero()) return Point{};  // order-2 point doubles to infinity
   // λ = (3x² + 1) / 2y   (curve coefficient a = 1, b = 0)
-  const Fp lambda = (consts_.three * a.x() * a.x() + consts_.one) * (consts_.two * a.y()).inv();
-  const Fp x3 = lambda * lambda - consts_.two * a.x();
+  const Fp lambda = (three_ * a.x() * a.x() + one_) * (two_ * a.y()).inv();
+  const Fp x3 = lambda * lambda - two_ * a.x();
   const Fp y3 = lambda * (a.x() - x3) - a.y();
   return Point(x3, y3);
 }
@@ -57,236 +60,112 @@ Point Curve::add(const Point& a, const Point& b) const {
   return Point(x3, y3);
 }
 
-namespace {
+namespace jac {
 
-// Jacobian coordinates (X, Y, Z) with x = X/Z², y = Y/Z³ make scalar
-// multiplication division-free: affine add/dbl each cost a field inversion,
-// Jacobian ~10 multiplications. One inversion at the end.
-struct Jac {
-  Fp x, y, z;
-  bool inf = true;
-};
-
-using Consts = Curve::Consts;
-
-Jac to_jac(const Point& p, const Consts& c) {
-  if (p.is_infinity()) return Jac{};
-  return Jac{p.x(), p.y(), c.one, false};
+Affine to_affine(const MontField& f, const Point& p) {
+  return {f.from_big(p.x().value()), f.from_big(p.y().value())};
 }
 
-Jac jac_neg(Jac p) {
-  if (!p.inf) p.y = -p.y;
-  return p;
-}
-
-// Doubling on y² = x³ + a·x with a = 1: M = 3X² + Z⁴.
-Jac jac_dbl(const Jac& p, const Consts& c) {
-  if (p.inf || p.y.is_zero()) return Jac{};
-  const Fp y2 = p.y * p.y;
-  const Fp s = c.four * p.x * y2;
-  const Fp z2 = p.z * p.z;
-  const Fp m = c.three * p.x * p.x + z2 * z2;  // a = 1
-  const Fp x3 = m * m - s - s;
-  const Fp y3 = m * (s - x3) - c.eight * y2 * y2;
-  const Fp z3 = (p.y + p.y) * p.z;
-  return Jac{x3, y3, z3, false};
-}
-
-// Mixed addition: Jacobian p + affine q.
-Jac jac_add_affine(const Jac& p, const Point& q, const Consts& c) {
-  if (q.is_infinity()) return p;
-  if (p.inf) return to_jac(q, c);
-  const Fp z2 = p.z * p.z;
-  const Fp u2 = q.x() * z2;
-  const Fp s2 = q.y() * z2 * p.z;
-  const Fp h = u2 - p.x;
-  const Fp r = s2 - p.y;
-  if (h.is_zero()) {
-    if (r.is_zero()) return jac_dbl(p, c);
-    return Jac{};  // p + (−p)
-  }
-  const Fp h2 = h * h;
-  const Fp h3 = h2 * h;
-  const Fp uh2 = p.x * h2;
-  const Fp x3 = r * r - h3 - uh2 - uh2;
-  const Fp y3 = r * (uh2 - x3) - p.y * h3;
-  const Fp z3 = p.z * h;
-  return Jac{x3, y3, z3, false};
-}
-
-// General Jacobian + Jacobian addition (needed for wNAF odd-multiple tables
-// and fixed-base accumulation, where neither side is affine).
-Jac jac_add(const Jac& p, const Jac& q, const Consts& c) {
-  if (p.inf) return q;
-  if (q.inf) return p;
-  const Fp z1z1 = p.z * p.z;
-  const Fp z2z2 = q.z * q.z;
-  const Fp u1 = p.x * z2z2;
-  const Fp u2 = q.x * z1z1;
-  const Fp s1 = p.y * z2z2 * q.z;
-  const Fp s2 = q.y * z1z1 * p.z;
-  const Fp h = u2 - u1;
-  const Fp r = s2 - s1;
-  if (h.is_zero()) {
-    if (r.is_zero()) return jac_dbl(p, c);
-    return Jac{};
-  }
-  const Fp h2 = h * h;
-  const Fp h3 = h2 * h;
-  const Fp u1h2 = u1 * h2;
-  const Fp x3 = r * r - h3 - u1h2 - u1h2;
-  const Fp y3 = r * (u1h2 - x3) - s1 * h3;
-  const Fp z3 = p.z * q.z * h;
-  return Jac{x3, y3, z3, false};
-}
-
-Point jac_to_affine(const Jac& p) {
+Point to_point(const MontField& f, const FpCtxPtr& fp, const Jac& p) {
   if (p.inf) return Point{};
-  const Fp zi = p.z.inv();
-  const Fp zi2 = zi * zi;
-  return Point(p.x * zi2, p.y * zi2 * zi);
+  const Fe zi = f.inv(p.z);
+  const Fe zi2 = f.sqr(zi);
+  return Point(Fp(fp, f.to_big(f.mul(p.x, zi2))), Fp(fp, f.to_big(f.mul(f.mul(p.y, zi2), zi))));
 }
 
-// Batch Jacobian -> affine via Montgomery's trick: prefix products, one
-// inversion, back-substitution. Precondition: no input is infinity.
-std::vector<Point> jac_to_affine_batch(const std::vector<Jac>& pts) {
-  std::vector<Point> out;
-  out.reserve(pts.size());
+std::vector<Affine> to_affine_batch(const MontField& f, const std::vector<Jac>& pts) {
+  std::vector<Affine> out(pts.size());
   if (pts.empty()) return out;
-  std::vector<Fp> prefix(pts.size());
-  Fp running = pts[0].z;
-  prefix[0] = running;
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    running = running * pts[i].z;
-    prefix[i] = running;
-  }
-  Fp inv = prefix.back().inv();
-  out.resize(pts.size());
+  // prefix[i] = z_0 · … · z_i; invert the total, then peel the factors off
+  // back to front: z_i^{-1} = inv(z_0·…·z_i) · prefix[i−1].
+  std::vector<Fe> prefix(pts.size());
+  prefix[0] = pts[0].z;
+  for (std::size_t i = 1; i < pts.size(); ++i) prefix[i] = f.mul(prefix[i - 1], pts[i].z);
+  Fe inv = f.inv(prefix.back());
   for (std::size_t i = pts.size(); i-- > 0;) {
-    const Fp zi = i == 0 ? inv : inv * prefix[i - 1];
-    const Fp zi2 = zi * zi;
-    out[i] = Point(pts[i].x * zi2, pts[i].y * zi2 * zi);
-    inv = inv * pts[i].z;
+    const Fe zi = i == 0 ? inv : f.mul(inv, prefix[i - 1]);
+    const Fe zi2 = f.sqr(zi);
+    out[i] = {f.mul(pts[i].x, zi2), f.mul(f.mul(pts[i].y, zi2), zi)};
+    inv = f.mul(inv, pts[i].z);
   }
   return out;
 }
 
-// Raw Montgomery-domain Jacobian ladder. Fp keeps canonical values (its
-// value() feeds serialization and Shamir), so every Fp multiply pays two
-// REDC passes plus BigInt heap traffic. The scalar-mul inner loop instead
-// stays on fixed-width limb arrays in the Montgomery domain: one CIOS pass
-// per multiply, add/sub as plain limb loops, and a single conversion back
-// at the end. The formulas mirror jac_dbl/jac_add term by term, so the
-// resulting (X, Y, Z) — and hence the affine output — are bit-identical.
-using Mc = crypto::MontCtx;
-
-struct RawJac {
-  std::uint64_t x[Mc::kMaxLimbs];
-  std::uint64_t y[Mc::kMaxLimbs];
-  std::uint64_t z[Mc::kMaxLimbs];
-  bool inf = true;
-};
-
-bool raw_is_zero(const Mc& mc, const std::uint64_t* v) {
-  for (std::size_t i = 0; i < mc.limb_count(); ++i) {
-    if (v[i] != 0) return false;
-  }
-  return true;
-}
-
-void raw_dbl(const Mc& mc, const RawJac& p, RawJac& out) {
-  if (p.inf || raw_is_zero(mc, p.y)) {
-    out.inf = true;
-    return;
-  }
-  std::uint64_t y2[Mc::kMaxLimbs], s[Mc::kMaxLimbs], m[Mc::kMaxLimbs], t[Mc::kMaxLimbs];
-  std::uint64_t x3[Mc::kMaxLimbs], y3[Mc::kMaxLimbs], z3[Mc::kMaxLimbs];
-  mc.mul_raw(p.y, p.y, y2);
-  mc.mul_raw(p.x, y2, t);
-  mc.add_raw(t, t, s);
-  mc.add_raw(s, s, s);  // S = 4XY²
-  mc.mul_raw(p.x, p.x, t);
-  mc.add_raw(t, t, m);
-  mc.add_raw(m, t, m);  // 3X²
-  mc.mul_raw(p.z, p.z, t);
-  mc.mul_raw(t, t, t);
-  mc.add_raw(m, t, m);  // M = 3X² + Z⁴ (a = 1)
-  mc.mul_raw(m, m, x3);
-  mc.sub_raw(x3, s, x3);
-  mc.sub_raw(x3, s, x3);
-  mc.mul_raw(y2, y2, t);
-  mc.add_raw(t, t, t);
-  mc.add_raw(t, t, t);
-  mc.add_raw(t, t, t);  // 8Y⁴
-  mc.sub_raw(s, x3, y3);
-  mc.mul_raw(m, y3, y3);
-  mc.sub_raw(y3, t, y3);
-  mc.add_raw(p.y, p.y, t);
-  mc.mul_raw(t, p.z, z3);
-  std::copy(x3, x3 + mc.limb_count(), out.x);
-  std::copy(y3, y3 + mc.limb_count(), out.y);
-  std::copy(z3, z3 + mc.limb_count(), out.z);
+// Doubling on y² = x³ + a·x with a = 1: M = 3X² + Z⁴, S = 4XY²,
+// X3 = M² − 2S, Y3 = M(S − X3) − 8Y⁴, Z3 = 2YZ. The tangent at p, scaled
+// by Z3·Z², is (M·Z²)·x + (M·X − 2Y²) + (Z3·Z²)·y·i at φ(Q).
+Jac dbl(const MontField& f, const Jac& p, Line* tangent) {
+  if (tangent) *tangent = Line{};
+  if (p.inf || MontField::is_zero(p.y)) return Jac{};
+  const Fe y2 = f.sqr(p.y);
+  const Fe z2 = f.sqr(p.z);
+  const Fe xx = f.sqr(p.x);
+  const Fe m = f.add(f.add(f.add(xx, xx), xx), f.sqr(z2));
+  Fe s = f.mul(p.x, y2);
+  s = f.add(s, s);
+  s = f.add(s, s);
+  Fe y4 = f.sqr(y2);
+  y4 = f.add(y4, y4);
+  y4 = f.add(y4, y4);
+  y4 = f.add(y4, y4);
+  Jac out;
+  out.x = f.sub(f.sub(f.sqr(m), s), s);
+  out.y = f.sub(f.mul(m, f.sub(s, out.x)), y4);
+  out.z = f.mul(f.add(p.y, p.y), p.z);
   out.inf = false;
+  if (tangent) *tangent = {f.mul(m, z2), f.sub(f.mul(m, p.x), f.add(y2, y2)), f.mul(out.z, z2)};
+  return out;
 }
 
-void raw_add(const Mc& mc, const RawJac& p, const RawJac& q, RawJac& out) {
-  if (p.inf) {
-    if (&out != &q) out = q;
-    return;
-  }
-  if (q.inf) {
-    if (&out != &p) out = p;
-    return;
-  }
-  std::uint64_t z1z1[Mc::kMaxLimbs], z2z2[Mc::kMaxLimbs];
-  std::uint64_t u1[Mc::kMaxLimbs], u2[Mc::kMaxLimbs];
-  std::uint64_t s1[Mc::kMaxLimbs], s2[Mc::kMaxLimbs];
-  std::uint64_t h[Mc::kMaxLimbs], r[Mc::kMaxLimbs], t[Mc::kMaxLimbs];
-  std::uint64_t x3[Mc::kMaxLimbs], y3[Mc::kMaxLimbs], z3[Mc::kMaxLimbs];
-  mc.mul_raw(p.z, p.z, z1z1);
-  mc.mul_raw(q.z, q.z, z2z2);
-  mc.mul_raw(p.x, z2z2, u1);
-  mc.mul_raw(q.x, z1z1, u2);
-  mc.mul_raw(p.y, z2z2, s1);
-  mc.mul_raw(s1, q.z, s1);
-  mc.mul_raw(q.y, z1z1, s2);
-  mc.mul_raw(s2, p.z, s2);
-  mc.sub_raw(u2, u1, h);
-  mc.sub_raw(s2, s1, r);
-  if (raw_is_zero(mc, h)) {
-    if (raw_is_zero(mc, r)) {
-      raw_dbl(mc, p, out);
-    } else {
-      out.inf = true;  // p + (−p)
-    }
-    return;
-  }
-  std::uint64_t h2[Mc::kMaxLimbs], h3[Mc::kMaxLimbs], u1h2[Mc::kMaxLimbs];
-  mc.mul_raw(h, h, h2);
-  mc.mul_raw(h2, h, h3);
-  mc.mul_raw(u1, h2, u1h2);
-  mc.mul_raw(r, r, x3);
-  mc.sub_raw(x3, h3, x3);
-  mc.sub_raw(x3, u1h2, x3);
-  mc.sub_raw(x3, u1h2, x3);
-  mc.sub_raw(u1h2, x3, y3);
-  mc.mul_raw(r, y3, y3);
-  mc.mul_raw(s1, h3, t);
-  mc.sub_raw(y3, t, y3);
-  mc.mul_raw(p.z, q.z, z3);
-  mc.mul_raw(z3, h, z3);
-  std::copy(x3, x3 + mc.limb_count(), out.x);
-  std::copy(y3, y3 + mc.limb_count(), out.y);
-  std::copy(z3, z3 + mc.limb_count(), out.z);
+// The shared tail of both additions: with H = U2 − U1 and R = S2 − S1,
+// X3 = R² − H³ − 2·U1·H², Y3 = R(U1·H² − X3) − S1·H³; Z3 is the caller's.
+Jac add_tail(const MontField& f, const Jac& p, const Fe& u1, const Fe& s1, const Fe& h,
+             const Fe& r, const Fe& z3) {
+  if (MontField::is_zero(h)) return MontField::is_zero(r) ? dbl(f, p) : Jac{};  // p = ±q
+  const Fe h2 = f.sqr(h);
+  const Fe h3 = f.mul(h2, h);
+  const Fe u1h2 = f.mul(u1, h2);
+  Jac out;
+  out.x = f.sub(f.sub(f.sub(f.sqr(r), h3), u1h2), u1h2);
+  out.y = f.sub(f.mul(r, f.sub(u1h2, out.x)), f.mul(s1, h3));
+  out.z = z3;
   out.inf = false;
+  return out;
 }
 
-void raw_neg(const Mc& mc, const RawJac& p, RawJac& out) {
-  if (&out != &p) out = p;
-  if (p.inf) return;
-  std::uint64_t zero[Mc::kMaxLimbs] = {0};
-  mc.sub_raw(zero, p.y, out.y);  // 0 − y ≡ m − y (and 0 stays 0)
+Jac add(const MontField& f, const Jac& p, const Jac& q) {
+  if (p.inf) return q;
+  if (q.inf) return p;
+  const Fe z1z1 = f.sqr(p.z);
+  const Fe z2z2 = f.sqr(q.z);
+  const Fe u1 = f.mul(p.x, z2z2);
+  const Fe s1 = f.mul(f.mul(p.y, z2z2), q.z);
+  const Fe h = f.sub(f.mul(q.x, z1z1), u1);
+  const Fe r = f.sub(f.mul(f.mul(q.y, z1z1), p.z), s1);
+  return add_tail(f, p, u1, s1, h, r, f.mul(f.mul(p.z, q.z), h));
 }
+
+// Mixed addition (q has Z = 1). The chord through p and q, scaled by Z3, is
+// R·x + (R·x_q − y_q·Z3) + Z3·y·i at φ(Q).
+Jac add_affine(const MontField& f, const Jac& p, const Affine& q, Line* chord) {
+  if (chord) *chord = Line{};
+  if (p.inf) return Jac{q.x, q.y, f.one(), false};
+  const Fe z2 = f.sqr(p.z);
+  const Fe h = f.sub(f.mul(q.x, z2), p.x);
+  const Fe r = f.sub(f.mul(f.mul(q.y, z2), p.z), p.y);
+  const Fe z3 = f.mul(p.z, h);
+  if (chord && !MontField::is_zero(h)) *chord = {r, f.sub(f.mul(r, q.x), f.mul(q.y, z3)), z3};
+  return add_tail(f, p, p.x, p.y, h, r, z3);
+}
+
+}  // namespace jac
+
+namespace {
+
+using jac::Affine;
+using jac::Jac;
+using field::Fe;
+using field::MontField;
 
 // Width-4 NAF: digits odd in {±1, ±3, ±5, ±7}, average density 1/5 versus
 // 1/2 for the binary expansion. k must be positive.
@@ -308,34 +187,35 @@ std::vector<int> wnaf4(BigInt k) {
 }
 
 // Fixed-base window table for a long-lived base point B: row j holds the
-// affine points d·16^j·B for d = 1..15, so B^k costs one mixed addition per
-// non-zero nibble of k and no doublings at all. Entries are never infinity:
-// q is prime and > 16, so q never divides d·16^j.
+// affine points d·16^j·B for d = 1..15, in Montgomery limbs, so B^k costs one
+// mixed addition per non-zero nibble of k and no doublings at all. Entries
+// are never infinity: q is prime and > 16, so q never divides d·16^j.
 struct FixedBaseTable {
   std::size_t rows = 0;
-  std::vector<Point> entries;  // rows × 15, entry(j, d) = d·16^j·B
+  std::vector<Affine> entries;  // rows × 15, entry(j, d) = d·16^j·B
 
-  [[nodiscard]] const Point& at(std::size_t j, unsigned d) const {
+  [[nodiscard]] const Affine& at(std::size_t j, unsigned d) const {
     return entries[j * 15 + (d - 1)];
   }
 };
 
-FixedBaseTable build_fixed_base(const Point& base, const BigInt& q, const Consts& c) {
+FixedBaseTable build_fixed_base(const MontField& f, const Point& base, const BigInt& q) {
   FixedBaseTable t;
   t.rows = (q.bit_length() + 3) / 4;
   std::vector<Jac> jacs;
   jacs.reserve(t.rows * 15);
-  Jac row_base = to_jac(base, c);  // 16^j · B
+  const Affine b = jac::to_affine(f, base);
+  Jac row_base{b.x, b.y, f.one(), false};  // 16^j · B
   for (std::size_t j = 0; j < t.rows; ++j) {
     const std::size_t start = jacs.size();
     jacs.push_back(row_base);
     for (unsigned d = 2; d <= 15; ++d) {
-      jacs.push_back(d % 2 == 0 ? jac_dbl(jacs[start + d / 2 - 1], c)
-                                : jac_add(jacs[start + d - 2], row_base, c));
+      jacs.push_back(d % 2 == 0 ? jac::dbl(f, jacs[start + d / 2 - 1])
+                                : jac::add(f, jacs[start + d - 2], row_base));
     }
-    if (j + 1 < t.rows) row_base = jac_dbl(jacs[start + 7], c);  // 2·(8·16^j·B)
+    if (j + 1 < t.rows) row_base = jac::dbl(f, jacs[start + 7]);  // 2·(8·16^j·B)
   }
-  t.entries = jac_to_affine_batch(jacs);
+  t.entries = jac::to_affine_batch(f, jacs);
   return t;
 }
 
@@ -394,7 +274,8 @@ void Curve::precompute_fixed_base(const Point& base) const {
   if (base.is_infinity()) return;
   const std::string id = table_key(base);
   if (find_fixed_base(id)) return;
-  auto table = std::make_shared<const FixedBaseTable>(build_fixed_base(base, params_.q, consts_));
+  auto table =
+      std::make_shared<const FixedBaseTable>(build_fixed_base(mont_field(), base, params_.q));
   register_fixed_base(id, std::move(table));
 }
 
@@ -406,7 +287,7 @@ bool Curve::has_fixed_base(const Point& base) const {
 Point Curve::mul(const Point& pt, const BigInt& k) const {
   if (k.is_negative()) return mul(negate(pt), -k);
   if (k.is_zero() || pt.is_infinity()) return Point{};
-  const Consts& c = consts_;
+  const MontField& f = mont_field();
 
   // Fixed-base path: one mixed addition per non-zero nibble, no doublings.
   if (const auto table = find_fixed_base(table_key(pt))) {
@@ -418,74 +299,45 @@ Point Curve::mul(const Point& pt, const BigInt& k) const {
         for (unsigned b = 0; b < 4; ++b) {
           d |= static_cast<unsigned>(k.bit(4 * j + b)) << b;
         }
-        if (d != 0) acc = jac_add_affine(acc, table->at(j, d), c);
+        if (d != 0) acc = jac::add_affine(f, acc, table->at(j, d));
       }
-      return jac_to_affine(acc);
+      return jac::to_point(f, params_.fp, acc);
     }
     // Scalar wider than the table (k >= 16^rows ≥ q): fall through to wNAF.
   }
 
   // Generic path: width-4 wNAF with an odd-multiple table {1,3,5,7}·P.
-  const std::vector<int> digits = wnaf4(k);
-
-  // Raw Montgomery ladder when the field supports it (always true for the
-  // presets): identical formulas on limb arrays, one REDC per multiply.
-  if (const auto& mont = params_.fp->mont()) {
-    const Mc& mc = *mont;
-    RawJac odd[4];
-    mc.to_mont_raw(pt.x().value(), odd[0].x);
-    mc.to_mont_raw(pt.y().value(), odd[0].y);
-    mc.to_mont_raw(crypto::BigInt{1}, odd[0].z);
-    odd[0].inf = false;
-    RawJac p2;
-    raw_dbl(mc, odd[0], p2);
-    raw_add(mc, p2, odd[0], odd[1]);  // 3P
-    raw_dbl(mc, p2, odd[2]);
-    raw_add(mc, odd[2], odd[0], odd[2]);  // 5P = 4P + P
-    raw_dbl(mc, odd[1], odd[3]);
-    raw_add(mc, odd[3], odd[0], odd[3]);  // 7P = 6P + P
-    RawJac acc, tmp;
-    for (std::size_t i = digits.size(); i-- > 0;) {
-      raw_dbl(mc, acc, acc);
-      const int d = digits[i];
-      if (d > 0) {
-        raw_add(mc, acc, odd[(d - 1) / 2], acc);
-      } else if (d < 0) {
-        raw_neg(mc, odd[(-d - 1) / 2], tmp);
-        raw_add(mc, acc, tmp, acc);
-      }
-    }
-    if (acc.inf) return Point{};
-    const Jac j{Fp(params_.fp, mc.from_mont_raw(acc.x)), Fp(params_.fp, mc.from_mont_raw(acc.y)),
-                Fp(params_.fp, mc.from_mont_raw(acc.z)), false};
-    return jac_to_affine(j);
-  }
-
+  const Affine a = jac::to_affine(f, pt);
   Jac odd[4];
-  odd[0] = to_jac(pt, c);
-  const Jac p2 = jac_dbl(odd[0], c);
-  odd[1] = jac_add_affine(p2, pt, c);                // 3P
-  odd[2] = jac_add_affine(jac_dbl(p2, c), pt, c);    // 5P = 4P + P
-  odd[3] = jac_add_affine(jac_dbl(odd[1], c), pt, c);  // 7P = 6P + P
+  odd[0] = Jac{a.x, a.y, f.one(), false};
+  const Jac p2 = jac::dbl(f, odd[0]);
+  odd[1] = jac::add_affine(f, p2, a);                 // 3P
+  odd[2] = jac::add_affine(f, jac::dbl(f, p2), a);      // 5P = 4P + P
+  odd[3] = jac::add_affine(f, jac::dbl(f, odd[1]), a);  // 7P = 6P + P
+  const std::vector<int> digits = wnaf4(k);
   Jac acc{};
   for (std::size_t i = digits.size(); i-- > 0;) {
-    acc = jac_dbl(acc, c);
+    acc = jac::dbl(f, acc);
     const int d = digits[i];
-    if (d > 0) acc = jac_add(acc, odd[(d - 1) / 2], c);
-    else if (d < 0) acc = jac_add(acc, jac_neg(odd[(-d - 1) / 2]), c);
+    if (d > 0) {
+      acc = jac::add(f, acc, odd[(d - 1) / 2]);
+    } else if (d < 0) {
+      Jac neg = odd[(-d - 1) / 2];
+      neg.y = f.neg(neg.y);
+      acc = jac::add(f, acc, neg);
+    }
   }
-  return jac_to_affine(acc);
+  return jac::to_point(f, params_.fp, acc);
 }
 
 Point Curve::mul_binary(const Point& pt, const BigInt& k) const {
   if (k.is_negative()) return mul_binary(negate(pt), -k);
-  Jac acc{};
-  const std::size_t nbits = k.bit_length();
-  for (std::size_t i = nbits; i-- > 0;) {
-    acc = jac_dbl(acc, consts_);
-    if (k.bit(i)) acc = jac_add_affine(acc, pt, consts_);
+  Point acc;
+  for (std::size_t i = k.bit_length(); i-- > 0;) {
+    acc = dbl(acc);
+    if (k.bit(i)) acc = add(acc, pt);
   }
-  return jac_to_affine(acc);
+  return acc;
 }
 
 Point Curve::hash_to_group(std::span<const std::uint8_t> data) const {

@@ -50,31 +50,29 @@ class Point {
 
 class Curve {
  public:
+  /// Throws std::invalid_argument unless p ≡ 3 (mod 4), h·q = p + 1 and
+  /// p < 2^512 (the width of the limb arithmetic every loop runs on).
   explicit Curve(CurveParams params);
 
   [[nodiscard]] const CurveParams& params() const { return params_; }
   [[nodiscard]] const FpCtxPtr& fp() const { return params_.fp; }
+  /// The Montgomery limb arithmetic of F_p, shared with the pairing.
+  [[nodiscard]] const field::MontField& mont_field() const { return *params_.fp->mont_field(); }
   /// Group order q of the pairing subgroup.
   [[nodiscard]] const BigInt& order() const { return params_.q; }
 
-  /// Small Fp constants hoisted out of the group law (the affine/Jacobian
-  /// formulas used to rebuild these per call). Shared with the pairing.
-  struct Consts {
-    Fp one, two, three, four, eight;
-  };
-  [[nodiscard]] const Consts& consts() const { return consts_; }
-
   [[nodiscard]] bool on_curve(const Point& pt) const;
   [[nodiscard]] Point negate(const Point& pt) const;
+  /// Affine group law (one field inversion each).
   [[nodiscard]] Point add(const Point& a, const Point& b) const;
   [[nodiscard]] Point dbl(const Point& a) const;
-  /// Scalar multiplication: width-4 wNAF over Jacobian coordinates, with a
-  /// fixed-base windowed table when `pt` has been registered via
-  /// precompute_fixed_base(). Not constant-time — this is a research
-  /// reproduction, not a hardened implementation.
+  /// Scalar multiplication: width-4 wNAF over Jacobian coordinates on
+  /// Montgomery limbs, or a fixed-base windowed table when `pt` has been
+  /// registered via precompute_fixed_base(). Not constant-time — this is a
+  /// research reproduction, not a hardened implementation.
   [[nodiscard]] Point mul(const Point& pt, const BigInt& k) const;
-  /// Plain binary double-and-add — the pre-wNAF algorithm, kept as the
-  /// randomized-equivalence oracle (tests/ec/test_scalar_mul.cpp).
+  /// Plain binary double-and-add on the affine add()/dbl() — the
+  /// randomized-equivalence oracle for mul() (tests/ec/test_scalar_mul.cpp).
   [[nodiscard]] Point mul_binary(const Point& pt, const BigInt& k) const;
 
   /// Builds (or refreshes) a fixed-base window table for `base` in a
@@ -101,7 +99,7 @@ class Curve {
   [[nodiscard]] std::string table_key(const Point& base) const;
 
   CurveParams params_;
-  Consts consts_;
+  Fp one_, two_, three_;  ///< affine group-law constants
 };
 
 }  // namespace sp::ec

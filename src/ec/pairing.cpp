@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "ec/jacobian.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/mutex.hpp"
@@ -19,15 +20,17 @@ using field::Fp;
 
 namespace {
 
+using field::Fe;
+using field::Fe2;
+using field::MontField;
+
 // One recorded Miller-loop step for a fixed first argument P. The line
 // through the loop's running point, evaluated at φ(Q) = (−x_q, i·y_q), is
-// always of the form (a·x_q + b) + (c·y_q)·i with (a, b, c) depending only
-// on P — so replaying a table is pure F_{p²} accumulator work. `tangent`
-// distinguishes the doubling step (f ← f²·l) from the addition step
-// (f ← f·l); degenerate additions (vertical chord, eliminated by the final
-// exponentiation) record no step, exactly like the live loop adds no factor.
+// (a·x_q + b) + (c·y_q)·i with (a, b, c) depending only on P — so replaying
+// a table is pure F_{p²} accumulator work. `tangent` distinguishes the
+// doubling step (f ← f²·l) from the addition step (f ← f·l).
 struct MillerStep {
-  Fp a, b, c;
+  jac::Line line;
   bool tangent;
 };
 
@@ -38,8 +41,11 @@ struct MillerTable {
 // Process-wide Miller-line table registry, mirroring the fixed-base scalar
 // table registry in curve.cpp: keyed by (p, P) so tables outlive the
 // Pairing/Curve/Session that built them, FIFO-evicted so key churn cannot
-// grow memory without bound. A 512-bit table is ~770 steps × 3 Fp ≈ 150 KB,
-// so the cap bounds the registry at a few MB.
+// grow memory without bound. A table holds one tangent per bit of q below
+// the top one and one chord per set bit of q except the top and the last
+// (that chord is vertical): 159 + 77 = 236 steps of 200 bytes (three
+// 64-byte limb arrays and a flag), about 46 KiB, at the kFull preset's
+// 160-bit q, so the cap bounds the registry at about 3 MiB.
 constexpr std::size_t kMaxMillerTables = 64;
 
 struct MillerTableRegistry {
@@ -84,193 +90,86 @@ std::string miller_key(const Curve& curve, const Point& p) {
   return id;
 }
 
-/// The inversion-free Jacobian Miller loop, WITHOUT the final
-/// exponentiation: T = (X, Y, Z) with x_t = X/Z², y_t = Y/Z³. Each line
-/// value is the affine one scaled by a non-zero F_p factor (Z3·Z2 for
-/// tangents, Z3 for chords); conj fixes F_p, so the scale factors cancel in
-/// final_exponentiation() and the exponentiated result is bit-identical to
-/// the affine reference().
-Fp2 miller_loop(const Curve& curve, const Point& p, const Point& q) {
-  const auto& fp = curve.fp();
-  const Curve::Consts& cs = curve.consts();
-  const Fp& x_p = p.x();
-  const Fp& y_p = p.y();
-  const Fp& x_q = q.x();
-  const Fp& y_q = q.y();
-  const crypto::BigInt& order = curve.order();
-  Fp2 f = Fp2::one(fp);
-  Fp tx = p.x();
-  Fp ty = p.y();
-  Fp tz = cs.one;
-  const std::size_t nbits = order.bit_length();
-  for (std::size_t i = nbits - 1; i-- > 0;) {
-    {
-      // Tangent step: doubling on y² = x³ + x with M = 3X² + Z⁴.
-      const Fp z2 = tz * tz;
-      const Fp y2 = ty * ty;
-      const Fp m = cs.three * tx * tx + z2 * z2;
-      const Fp s = cs.four * tx * y2;
-      const Fp x3 = m * m - s - s;
-      const Fp y3 = m * (s - x3) - cs.eight * y2 * y2;
-      const Fp z3 = (ty + ty) * tz;
-      // Affine tangent line at T, evaluated at φ(Q) and scaled by Z3·Z2.
-      const Fp l_re = m * (z2 * x_q + tx) - (y2 + y2);
-      const Fp l_im = z3 * z2 * y_q;
-      f = f * f * Fp2(l_re, l_im);
-      tx = x3;
-      ty = y3;
-      tz = z3;
-    }
+// Walks T from P to [q]P by double-and-add over the bits of q, handing
+// each tangent and chord to `visit` in loop order. The line values are the
+// affine ones scaled by non-zero F_p factors (Z3·Z² for tangents, Z3 for
+// chords); conj fixes F_p, so the factors cancel in the final
+// exponentiation and the pairing equals the affine reference() exactly.
+// Vertical chords (T = −P, at the last step) lie in F_p and are eliminated
+// by the final exponentiation, so — as in reference() — they add no factor.
+template <class Visit>
+void walk_miller(const MontField& f, const BigInt& order, const jac::Affine& p, Visit&& visit) {
+  jac::Jac t{p.x, p.y, f.one(), false};
+  jac::Line line;
+  for (std::size_t i = order.bit_length() - 1; i-- > 0;) {
+    t = jac::dbl(f, t, &line);
+    if (!MontField::is_zero(line.c)) visit(MillerStep{line, true});
     if (order.bit(i)) {
-      const Fp z2 = tz * tz;
-      const Fp u2 = x_p * z2;
-      const Fp s2 = y_p * z2 * tz;
-      const Fp h = u2 - tx;
-      const Fp r = s2 - ty;
-      if (h.is_zero()) {
-        // T = ±P: chord is vertical (value in F_p, eliminated) or tangent
-        // (cannot occur mid-loop for order-q P). Update via group law.
-        if (r.is_zero()) {
-          const Fp y2 = ty * ty;
-          const Fp m = cs.three * tx * tx + z2 * z2;
-          const Fp s = cs.four * tx * y2;
-          const Fp x3 = m * m - s - s;
-          const Fp y3 = m * (s - x3) - cs.eight * y2 * y2;
-          const Fp z3 = (ty + ty) * tz;
-          tx = x3;
-          ty = y3;
-          tz = z3;
-        } else {
-          // T + (−P) = O; mirrors the affine loop, which also leaves the
-          // accumulator untouched and lets the next step fail loudly.
-          tx = Fp::zero(fp);
-          ty = Fp::zero(fp);
-          tz = Fp::zero(fp);
-        }
-      } else {
-        const Fp h2 = h * h;
-        const Fp h3 = h2 * h;
-        const Fp uh2 = tx * h2;
-        const Fp x3 = r * r - h3 - uh2 - uh2;
-        const Fp y3 = r * (uh2 - x3) - ty * h3;
-        const Fp z3 = tz * h;
-        // Chord through T and P, evaluated at φ(Q) and scaled by Z3.
-        const Fp l_re = r * (x_q + x_p) - y_p * z3;
-        const Fp l_im = z3 * y_q;
-        f = f * Fp2(l_re, l_im);
-        tx = x3;
-        ty = y3;
-        tz = z3;
-      }
+      t = jac::add_affine(f, t, p, &line);
+      if (!MontField::is_zero(line.c)) visit(MillerStep{line, false});
     }
   }
-  return f;
 }
 
-/// Runs the same loop as miller_loop() but only the point arithmetic,
-/// capturing each line's (a, b, c) so the x_q/y_q evaluation can be
-/// replayed later: tangent l_re = m·(z2·x_q + tx) − 2y2 = (m·z2)·x_q +
-/// (m·tx − 2y2), chord l_re = r·(x_q + x_p) − y_p·z3 = r·x_q +
-/// (r·x_p − y_p·z3). Distributivity over F_p makes the replayed values
-/// (and hence every downstream byte) identical to the live loop's.
+Fe2 apply_step(const MontField& f, const Fe2& acc, const MillerStep& step, const jac::Affine& q) {
+  const Fe2 l{f.add(f.mul(step.line.a, q.x), step.line.b), f.mul(step.line.c, q.y)};
+  return f.mul(step.tangent ? f.sqr(acc) : acc, l);
+}
+
 MillerTable build_miller_table(const Curve& curve, const Point& p) {
-  const auto& fp = curve.fp();
-  const Curve::Consts& cs = curve.consts();
-  const Fp& x_p = p.x();
-  const Fp& y_p = p.y();
-  const crypto::BigInt& order = curve.order();
+  const MontField& f = curve.mont_field();
   MillerTable table;
-  table.steps.reserve(order.bit_length() + order.bit_length() / 2);
-  Fp tx = p.x();
-  Fp ty = p.y();
-  Fp tz = cs.one;
-  const std::size_t nbits = order.bit_length();
-  for (std::size_t i = nbits - 1; i-- > 0;) {
-    {
-      const Fp z2 = tz * tz;
-      const Fp y2 = ty * ty;
-      const Fp m = cs.three * tx * tx + z2 * z2;
-      const Fp s = cs.four * tx * y2;
-      const Fp x3 = m * m - s - s;
-      const Fp y3 = m * (s - x3) - cs.eight * y2 * y2;
-      const Fp z3 = (ty + ty) * tz;
-      table.steps.push_back({m * z2, m * tx - (y2 + y2), z3 * z2, true});
-      tx = x3;
-      ty = y3;
-      tz = z3;
-    }
-    if (order.bit(i)) {
-      const Fp z2 = tz * tz;
-      const Fp u2 = x_p * z2;
-      const Fp s2 = y_p * z2 * tz;
-      const Fp h = u2 - tx;
-      const Fp r = s2 - ty;
-      if (h.is_zero()) {
-        if (r.is_zero()) {
-          const Fp y2 = ty * ty;
-          const Fp m = cs.three * tx * tx + z2 * z2;
-          const Fp s = cs.four * tx * y2;
-          const Fp x3 = m * m - s - s;
-          const Fp y3 = m * (s - x3) - cs.eight * y2 * y2;
-          const Fp z3 = (ty + ty) * tz;
-          tx = x3;
-          ty = y3;
-          tz = z3;
-        } else {
-          tx = Fp::zero(fp);
-          ty = Fp::zero(fp);
-          tz = Fp::zero(fp);
-        }
-      } else {
-        const Fp h2 = h * h;
-        const Fp h3 = h2 * h;
-        const Fp uh2 = tx * h2;
-        const Fp x3 = r * r - h3 - uh2 - uh2;
-        const Fp y3 = r * (uh2 - x3) - ty * h3;
-        const Fp z3 = tz * h;
-        table.steps.push_back({r, r * x_p - y_p * z3, z3, false});
-        tx = x3;
-        ty = y3;
-        tz = z3;
-      }
-    }
-  }
+  table.steps.reserve(curve.order().bit_length() + curve.order().bit_length() / 2);
+  walk_miller(f, curve.order(), jac::to_affine(f, p),
+              [&table](const MillerStep& step) { table.steps.push_back(step); });
   return table;
 }
 
-Fp2 replay_miller_table(const MillerTable& table, const field::FpCtxPtr& fp, const Point& q) {
-  const Fp& x_q = q.x();
-  const Fp& y_q = q.y();
-  Fp2 f = Fp2::one(fp);
-  for (const MillerStep& step : table.steps) {
-    const Fp2 l(step.a * x_q + step.b, step.c * y_q);
-    f = step.tangent ? f * f * l : f * l;
+/// f_{q,P}(φ(Q)) on limbs, replaying P's Miller-line table when one is
+/// registered (the replayed values equal the live loop's exactly).
+Fe2 miller_limbs(const Curve& curve, const Point& p, const Point& q) {
+  const MontField& f = curve.mont_field();
+  if (p.is_infinity() || q.is_infinity()) return f.one2();
+  if (!curve.on_curve(p) || !curve.on_curve(q)) {
+    throw std::invalid_argument("Pairing: input not on curve");
   }
-  return f;
+  const jac::Affine aq = jac::to_affine(f, q);
+  Fe2 acc = f.one2();
+  if (const auto table = find_miller_table(miller_key(curve, p))) {
+    static obs::Counter& hits = obs::MetricsRegistry::global().counter(
+        "crypto_miller_table_hits_total", "Miller loops served from a precomputed line table");
+    hits.inc();
+    for (const MillerStep& step : table->steps) acc = apply_step(f, acc, step, aq);
+    return acc;
+  }
+  walk_miller(f, curve.order(), jac::to_affine(f, p),
+              [&](const MillerStep& step) { acc = apply_step(f, acc, step, aq); });
+  return acc;
+}
+
+/// f^((p²−1)/q) = (conj(f)·f^{-1})^h with h = (p+1)/q, because f^p = conj(f)
+/// in F_p[i] when p ≡ 3 (mod 4).
+Fe2 final_exp(const MontField& f, const Fe2& m, const BigInt& h) {
+  return f.pow(f.mul(f.conj(m), f.inv(m)), h);
+}
+
+Fe2 to_fe2(const MontField& f, const Fp2& x) {
+  return {f.from_big(x.re().value()), f.from_big(x.im().value())};
+}
+
+Fp2 to_fp2(const MontField& f, const field::FpCtxPtr& fp, const Fe2& x) {
+  return Fp2(Fp(fp, f.to_big(x.re)), Fp(fp, f.to_big(x.im)));
 }
 
 }  // namespace
 
 Fp2 Pairing::miller(const Point& p, const Point& q) const {
-  const auto& fp = curve_->fp();
-  if (p.is_infinity() || q.is_infinity()) return Fp2::one(fp);
-  if (!curve_->on_curve(p) || !curve_->on_curve(q)) {
-    throw std::invalid_argument("Pairing: input not on curve");
-  }
-  if (const auto table = find_miller_table(miller_key(*curve_, p))) {
-    static obs::Counter& hits = obs::MetricsRegistry::global().counter(
-        "crypto_miller_table_hits_total", "Miller loops served from a precomputed line table");
-    hits.inc();
-    return replay_miller_table(*table, fp, q);
-  }
-  return miller_loop(*curve_, p, q);
+  return to_fp2(curve_->mont_field(), curve_->fp(), miller_limbs(*curve_, p, q));
 }
 
-Fp2 Pairing::final_exponentiation(const Fp2& f) const {
-  // f^((p²−1)/q) = (conj(f)·f^{-1})^(h) with h = (p+1)/q, because
-  // f^p = conj(f) in F_p[i] when p ≡ 3 (mod 4).
-  const Fp2 f_p_minus_1 = f.conj() * f.inv();
-  return f_p_minus_1.pow(curve_->params().h);
+Fp2 Pairing::gt_pow(const Fp2& x, const BigInt& e) const {
+  const MontField& mf = curve_->mont_field();
+  return to_fp2(mf, curve_->fp(), mf.pow(to_fe2(mf, x), e));
 }
 
 void Pairing::precompute(const Point& p) const {
@@ -295,20 +194,21 @@ bool Pairing::has_precomputed(const Point& p) const {
 }
 
 Fp2 Pairing::operator()(const Point& p, const Point& q) const {
-  const auto& fp = curve_->fp();
-  if (p.is_infinity() || q.is_infinity()) return Fp2::one(fp);
-  // Hot-path instrumentation: a pairing is ~3 ms at the 512-bit preset, the
+  const MontField& mf = curve_->mont_field();
+  if (p.is_infinity() || q.is_infinity()) return one();
+  // Hot-path instrumentation: a pairing is ~1 ms at the 512-bit preset, the
   // span costs two clock reads + three relaxed fetch_adds (and nothing at
   // all against a disabled registry on an untraced request). Magic-static
   // init is thread-safe.
   static obs::Histogram& pairing_ms = obs::MetricsRegistry::global().histogram(
       "crypto_pairing_ms", "Full pairing evaluations (Miller loop + final exp)");
   const obs::Span span(obs::Tracer::current(), "ec.pairing", pairing_ms);
-  return final_exponentiation(miller(p, q));
+  return to_fp2(mf, curve_->fp(),
+                final_exp(mf, miller_limbs(*curve_, p, q), curve_->params().h));
 }
 
 Fp2 Pairing::product(std::span<const Term> terms, const Runner& runner) const {
-  const auto& fp = curve_->fp();
+  const MontField& mf = curve_->mont_field();
   static obs::Histogram& multi_ms = obs::MetricsRegistry::global().histogram(
       "crypto_multi_pairing_ms",
       "Multi-pairing products (one Miller loop per pair, one shared final exp)");
@@ -326,7 +226,7 @@ Fp2 Pairing::product(std::span<const Term> terms, const Runner& runner) const {
   // conjugated BEFORE the shared final exponentiation — p ≡ −1 (mod q)
   // makes FE(conj(f)) = FE(f)^{-1} (header comment) — so no term ever pays
   // an F_{p²} inversion.
-  std::vector<Fp2> values(terms.size());
+  std::vector<Fe2> values(terms.size());
   std::vector<char> evaluable(terms.size(), 0);
   std::uint64_t evaluated = 0;
   std::vector<std::function<void()>> jobs;
@@ -339,9 +239,9 @@ Fp2 Pairing::product(std::span<const Term> terms, const Runner& runner) const {
     // exactly the ones that recur across requests; building the table costs
     // about one table-driven evaluation, so first use is break-even.
     precompute(term.p);
-    auto eval = [this, &term, &values, i] {
-      Fp2 m = miller(term.p, term.q);
-      values[i] = term.inverse ? m.conj() : m;
+    auto eval = [this, &mf, &term, &values, i] {
+      const Fe2 m = miller_limbs(*curve_, term.p, term.q);
+      values[i] = term.inverse ? mf.conj(m) : m;
     };
     if (runner) {
       jobs.emplace_back(std::move(eval));
@@ -356,26 +256,26 @@ Fp2 Pairing::product(std::span<const Term> terms, const Runner& runner) const {
   // sharing one Lagrange coefficient costs a single F_{p²} pow. The term
   // count is small (CP-ABE: 2 per satisfied leaf + 1), so the linear bucket
   // scan is noise next to a Miller loop.
-  std::vector<std::pair<BigInt, Fp2>> buckets;
+  std::vector<std::pair<BigInt, Fe2>> buckets;
   for (std::size_t i = 0; i < terms.size(); ++i) {
     if (!evaluable[i]) continue;
     bool found = false;
     for (auto& [exponent, acc] : buckets) {
       if (exponent == terms[i].exponent) {
-        acc = acc * values[i];
+        acc = mf.mul(acc, values[i]);
         found = true;
         break;
       }
     }
-    if (!found) buckets.emplace_back(terms[i].exponent, std::move(values[i]));
+    if (!found) buckets.emplace_back(terms[i].exponent, values[i]);
   }
 
   const BigInt one_exp{1};
-  Fp2 f = Fp2::one(fp);
+  Fe2 f = mf.one2();
   for (const auto& [exponent, acc] : buckets) {
-    f = f * (exponent == one_exp ? acc : acc.pow(exponent));
+    f = mf.mul(f, exponent == one_exp ? acc : mf.pow(acc, exponent));
   }
-  return final_exponentiation(f);
+  return to_fp2(mf, curve_->fp(), final_exp(mf, f, curve_->params().h));
 }
 
 Fp2 Pairing::reference(const Point& p, const Point& q) const {

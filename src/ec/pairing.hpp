@@ -7,6 +7,13 @@
 // the tangent/chord numerators are accumulated. The final exponentiation
 // uses the Frobenius shortcut f^(p−1) = conj(f) · f^{-1}.
 //
+// Arithmetic: the Miller loop, table build and replay, final
+// exponentiation, product()'s bucket pows and gt_pow() all run on the
+// fixed-width Montgomery limbs of field/mont_field.hpp (Fe, Fe2) and the
+// Jacobian group law of ec/jacobian.hpp. Points and Fp2 values convert to
+// limbs on entry and back once on exit; Fp2's value ops and reference()
+// stay as the equivalence oracles.
+//
 // Batch verification (PR 7): product() evaluates ∏ ê(P_i, Q_i)^(±e_i) with
 // one Miller loop per pair but a SINGLE shared final exponentiation.
 // Soundness of the sharing (DESIGN.md "Batch verification pipeline"):
@@ -86,11 +93,12 @@ class Pairing {
 
   /// The un-exponentiated Miller accumulator f_{q,P}(φ(Q)) — the building
   /// block product() combines. Returns 1 when either argument is infinity.
-  /// NOT a pairing until final_exponentiation() is applied.
+  /// NOT a pairing until the final exponentiation f^((p²−1)/q) is applied.
   [[nodiscard]] Fp2 miller(const Point& p, const Point& q) const;
 
-  /// f^((p²−1)/q) = (conj(f)·f^{-1})^((p+1)/q).
-  [[nodiscard]] Fp2 final_exponentiation(const Fp2& f) const;
+  /// x^e in the target group (any F_{p²} element; a negative e inverts),
+  /// on limbs: the CP-ABE exponentiations of e(g,g) and its powers.
+  [[nodiscard]] Fp2 gt_pow(const Fp2& x, const BigInt& e) const;
 
   /// Builds (or refreshes) the Miller-line table for first argument `p` in
   /// the process-wide registry (FIFO-capped, keyed by (field prime, p), so

@@ -15,6 +15,7 @@ FpCtx::FpCtx(BigInt p) : p_(std::move(p)) {
   mu_ = (BigInt{1} << (2 * shift_)) / p_;
   p_minus_2_ = p_ - BigInt{2};
   if (crypto::MontCtx::usable(p_)) mont_.emplace(p_);
+  if (MontField::fits(p_)) mont_field_.emplace(p_);
 }
 
 BigInt FpCtx::reduce(const BigInt& x) const {

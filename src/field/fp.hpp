@@ -1,8 +1,13 @@
 // Prime field F_p arithmetic.
 //
 // Construction 1 runs Shamir secret sharing over F_p; Construction 2's
-// pairing groups live on an elliptic curve over F_p. Elements carry a shared
-// pointer to their modulus so mixed-field operations are caught early.
+// pairing groups live on an elliptic curve over F_p. Fp is the canonical,
+// arbitrary-width element: a shared pointer to its modulus (so mixed-field
+// operations are caught early) plus a BigInt in [0, p). It serves Shamir,
+// serialization and every prime wider than 512 bits. The curve and pairing
+// loops do not run on Fp: they convert once into the fixed-width,
+// Montgomery-resident Fe of mont_field.hpp, whose context FpCtx builds
+// (mont_field()) when p < 2^512.
 #pragma once
 
 #include <memory>
@@ -13,6 +18,7 @@
 
 #include "crypto/bigint.hpp"
 #include "crypto/drbg.hpp"
+#include "field/mont_field.hpp"
 
 namespace sp::field {
 
@@ -52,12 +58,15 @@ class FpCtx {
 
   /// Montgomery context for p, if p fits (always true for the presets).
   [[nodiscard]] const std::optional<crypto::MontCtx>& mont() const { return mont_; }
+  /// Fixed-width limb arithmetic for p, when p < 2^512 (every preset).
+  [[nodiscard]] const std::optional<MontField>& mont_field() const { return mont_field_; }
 
  private:
   BigInt p_;
   BigInt mu_;             ///< floor(2^(2·shift) / p) for Barrett
   BigInt p_minus_2_;      ///< Fermat inversion exponent
   std::optional<crypto::MontCtx> mont_;
+  std::optional<MontField> mont_field_;
   std::size_t shift_ = 0; ///< bit shift = bit_length(p) rounded up usage
   std::size_t byte_len_;
   bool p3mod4_;

@@ -1,7 +1,6 @@
 #include "field/fp2.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 namespace sp::field {
 
@@ -65,30 +64,10 @@ Fp2 Fp2::inv() const {
 
 Fp2 Fp2::pow(const BigInt& e) const {
   if (e.is_negative()) return inv().pow(-e);
-  const std::size_t nbits = e.bit_length();
-  if (nbits == 0) return Fp2::one(a_.ctx());
-  // Fixed-window w = 4: the final-exponentiation exponent h is hundreds of
-  // bits, so trading 14 table multiplies for ~0.44·nbits running multiplies
-  // wins well before that.
-  std::vector<Fp2> table;
-  table.reserve(15);
-  table.push_back(*this);
-  for (int d = 2; d <= 15; ++d) table.push_back(table.back() * *this);
-  const std::size_t nnibs = (nbits + 3) / 4;
-  const auto nibble = [&e](std::size_t k) -> unsigned {
-    unsigned d = 0;
-    for (unsigned b = 0; b < 4; ++b) d |= static_cast<unsigned>(e.bit(4 * k + b)) << b;
-    return d;
-  };
-  const unsigned top = nibble(nnibs - 1);
-  Fp2 result = top == 0 ? Fp2::one(a_.ctx()) : table[top - 1];
-  for (std::size_t k = nnibs - 1; k-- > 0;) {
+  Fp2 result = Fp2::one(a_.ctx());
+  for (std::size_t i = e.bit_length(); i-- > 0;) {
     result = result * result;
-    result = result * result;
-    result = result * result;
-    result = result * result;
-    const unsigned d = nibble(k);
-    if (d != 0) result = result * table[d - 1];
+    if (e.bit(i)) result = result * *this;
   }
   return result;
 }

@@ -43,6 +43,7 @@ class Fp2 {
   /// Norm a² + b² ∈ F_p.
   [[nodiscard]] Fp norm() const;
   [[nodiscard]] Fp2 inv() const;
+  /// Square-and-multiply; the limb pow (MontField) is the fast path.
   [[nodiscard]] Fp2 pow(const BigInt& e) const;
 
  private:

@@ -7,6 +7,8 @@
 #include <functional>
 #include <span>
 
+#include "sig/schnorr.hpp"
+
 namespace sp::abe {
 namespace {
 
@@ -245,6 +247,18 @@ TEST_F(CpAbeTest, EncryptRejectsPerturbedPolicy) {
 TEST_F(CpAbeTest, KeygenRejectsEmptyAttributeSet) {
   auto [pk, mk] = scheme_.setup(rng_);
   EXPECT_THROW(scheme_.keygen(mk, {}, rng_), std::invalid_argument);
+}
+
+TEST_F(CpAbeTest, RepeatedSetupKeepsGeneratorFixedBaseTables) {
+  // Setup runs once per C2 share or refresh. The per-share h and f must not
+  // be registered as fixed bases: the FIFO-capped registry would evict the
+  // long-lived CP-ABE and Schnorr generators' tables and never rebuild them.
+  const sig::Schnorr schnorr(curve_, curve_.hash_to_group(crypto::to_bytes("sp-schnorr-g")));
+  PublicKey pk;
+  for (int i = 0; i < 100; ++i) pk = scheme_.setup(rng_).first;
+  EXPECT_TRUE(curve_.has_fixed_base(pk.g));
+  EXPECT_TRUE(curve_.has_fixed_base(schnorr.generator()));
+  EXPECT_FALSE(curve_.has_fixed_base(pk.h));
 }
 
 TEST_F(CpAbeTest, DistinctEncryptionsProduceDistinctKeys) {

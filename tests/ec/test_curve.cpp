@@ -42,6 +42,11 @@ TEST(Curve, RejectsInconsistentParams) {
   CurveParams p = preset_params(ParamPreset::kToy);
   p.h = p.h + BigInt{1};
   EXPECT_THROW(Curve{p}, std::invalid_argument);
+  // p = 2^521 − 1 ≡ 3 (mod 4) with h·q = p + 1, but wider than the 512-bit
+  // limbs every curve loop runs on.
+  const CurveParams wide{field::make_fp((BigInt{1} << 521) - BigInt{1}), BigInt{2},
+                         BigInt{1} << 520};
+  EXPECT_THROW(Curve{wide}, std::invalid_argument);
 }
 
 TEST(Curve, GroupElementsAreOnCurveAndInSubgroup) {
