@@ -25,11 +25,6 @@ sp_add_bench(bench_payload)
 sp_add_bench(bench_baseline_success)
 sp_add_bench(bench_acl_maintenance)
 sp_add_bench(bench_params)
-sp_add_bench(bench_concurrent_access)
-sp_add_bench(bench_fault_sweep)
-sp_add_bench(bench_storage)
-sp_add_bench(bench_capacity)
-target_link_libraries(bench_capacity PRIVATE sp_workload)
 
 # Micro-benchmarks (google-benchmark).
 sp_add_gbench(bench_micro_crypto)

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/session.hpp"
-#include "obs/metrics.hpp"
 
 namespace sp::bench {
 
@@ -46,64 +45,6 @@ inline crypto::Bytes paper_message(crypto::Drbg& rng) {
   for (auto& b : msg) b = static_cast<std::uint8_t>('A' + rng.uniform(26));
   return msg;
 }
-
-/// Percentile summary of a latency histogram: what the load benches report
-/// instead of sorting raw sample vectors. Percentiles are the histogram's
-/// bucket-interpolated estimates, so a bench and a production scrape of the
-/// same instrument agree by construction.
-struct LatencySummary {
-  std::uint64_t count = 0;
-  double mean_ms = 0;
-  double p50_ms = 0;
-  double p95_ms = 0;
-  double p99_ms = 0;
-  double max_ms = 0;
-};
-
-inline LatencySummary summarize(const obs::Histogram& hist) {
-  LatencySummary s;
-  s.count = hist.count();
-  if (s.count > 0) s.mean_ms = hist.sum_ms() / static_cast<double>(s.count);
-  s.p50_ms = hist.percentile(0.50);
-  s.p95_ms = hist.percentile(0.95);
-  s.p99_ms = hist.percentile(0.99);
-  s.max_ms = hist.max_ms();
-  return s;
-}
-
-/// Seeded-virtual-time wire accounting for the load benches.
-///
-/// The modeled network delay is deterministic per seed, but the PR 3-5
-/// harnesses REALIZED it as std::this_thread::sleep_for — so every
-/// throughput number inherited scheduler jitter and CI oversleep (a 5 ms
-/// modeled wait routinely sleeps 5.5+ ms on a loaded runner). Instead each
-/// worker now advances a private virtual clock by its measured processing
-/// time plus the modeled wire wait it WOULD have slept; the run's makespan
-/// is the slowest worker's clock — the wall time a perfectly-scheduled
-/// sleep run would have shown. The (dominant) wire component is exactly the
-/// seeded model's number, so only real processing-time measurement remains
-/// as run-to-run variance. Per-request latency keeps its definition
-/// (processing + wire), so every histogram-based acceptance bar is
-/// unchanged.
-///
-/// Each worker touches only its own slot, so no synchronization is needed.
-class VirtualWireClocks {
- public:
-  explicit VirtualWireClocks(std::size_t workers) : ms_(workers, 0.0) {}
-
-  /// Worker `w` finished a request that cost `ms` (processing + wire).
-  void advance(std::size_t w, double ms) { ms_[w] += ms; }
-
-  /// The slowest worker's clock == the virtual wall time of the run.
-  [[nodiscard]] double makespan_ms() const {
-    double m = 0;
-    for (const double v : ms_) m = std::max(m, v);
-    return std::max(m, 1e-9);
-  }
-
- private:
-  std::vector<double> ms_;
-};
 
 struct Sample {
   double local_ms = 0;

@@ -184,7 +184,8 @@ Bytes AccessTree::serialize() const {
 
 AccessTree AccessTree::deserialize(std::span<const std::uint8_t> data) {
   std::size_t off = 0;
-  std::function<Node()> walk = [&]() -> Node {
+  std::function<Node(std::size_t)> walk = [&](std::size_t depth) -> Node {
+    if (depth > kMaxDepth) throw std::invalid_argument("AccessTree: too deep");
     if (off >= data.size()) throw std::invalid_argument("AccessTree: truncated");
     const bool is_leaf = data[off++] == 1;
     Node node;
@@ -199,12 +200,17 @@ AccessTree AccessTree::deserialize(std::span<const std::uint8_t> data) {
     }
     node.threshold = get_u32(data, off);
     const std::uint32_t n = get_u32(data, off);
-    if (n > data.size()) throw std::invalid_argument("AccessTree: implausible child count");
+    if (n > kMaxChildren) throw std::invalid_argument("AccessTree: fan-out too large");
+    // A child costs >= 9 bytes on the wire; an inflated count cannot reserve
+    // more memory than the input could actually contain.
+    if (std::size_t{n} * 9 > data.size() - off) {
+      throw std::invalid_argument("AccessTree: truncated");
+    }
     node.children.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) node.children.push_back(walk());
+    for (std::uint32_t i = 0; i < n; ++i) node.children.push_back(walk(depth + 1));
     return node;
   };
-  Node root = walk();
+  Node root = walk(0);
   if (off != data.size()) throw std::invalid_argument("AccessTree: trailing bytes");
   return AccessTree(std::move(root));
 }

@@ -81,8 +81,16 @@ class AccessTree {
   [[nodiscard]] std::pair<AccessTree, std::size_t> reconstruct(
       const std::map<std::string, std::string>& claimed_answers) const;
 
+  /// Decoder bounds, shared by every access-tree wire format. Puzzle
+  /// policies are height 1, so a hostile input must not be able to drive
+  /// unbounded recursion or turn a small length field into a huge
+  /// allocation.
+  static constexpr std::size_t kMaxDepth = 64;
+  static constexpr std::size_t kMaxChildren = std::size_t{1} << 20;
+
   /// Wire format (length-prefixed binary); byte-size accounting feeds the
-  /// network model.
+  /// network model. deserialize throws std::invalid_argument on malformed
+  /// input, including a tree deeper than kMaxDepth.
   [[nodiscard]] Bytes serialize() const;
   static AccessTree deserialize(std::span<const std::uint8_t> data);
 

@@ -4,13 +4,8 @@ namespace sp::codec {
 
 namespace {
 
-/// Depth bound for access-tree decoding: social puzzles use height-1 trees
-/// and BSW07 policies stay shallow; a hostile length field must not be able
-/// to drive unbounded recursion.
-constexpr std::size_t kMaxTreeDepth = 64;
-/// Fan-out bound per node — far above any real policy, far below anything
-/// that could amplify a small input into a huge allocation.
-constexpr std::size_t kMaxTreeChildren = 1u << 20;
+constexpr std::size_t kMaxTreeDepth = abe::AccessTree::kMaxDepth;
+constexpr std::size_t kMaxTreeChildren = abe::AccessTree::kMaxChildren;
 
 Frame checked_unframe(std::span<const std::uint8_t> data, RecordType want, const char* what) {
   const Frame f = unframe(data);

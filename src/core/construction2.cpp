@@ -244,7 +244,8 @@ std::optional<Bytes> Construction2::access(const Bytes& ciphertext_file,
   try {
     Bytes object = crypto::open(*dem_key, envelope);
     // Only a key that authenticated the envelope leaves this function: the
-    // GCM tag proves it is THE object key, so memoizing it is safe.
+    // AES-CBC + HMAC-SHA256 envelope's tag proves it is THE object key, so
+    // memoizing it is safe.
     if (dem_key_out != nullptr) *dem_key_out = *dem_key;
     return object;
   } catch (const std::runtime_error&) {

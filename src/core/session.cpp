@@ -252,7 +252,9 @@ Session::C2Upload Session::upload_c2(std::span<const std::uint8_t> object, const
   }
   ledger.add_network(network_.transfer_ms(files.ciphertext.size(), kColdCurlRoundTrips));
   ledger.add_bytes(files.ciphertext.size());
-  std::string url = dh_.store(files.ciphertext);
+  // The DH holds the only copy: access fetches it from there, so the
+  // session's file set keeps just what the SP holds.
+  std::string url = dh_.store(std::move(files.ciphertext));
 
   // SP view: τ' + PK + MK (it never sees τ or the object).
   sp_.observe("c2-details", details);
@@ -791,11 +793,11 @@ AccessResult Session::access_c2(const std::string& post_id, const StoredPuzzle& 
   }
 
   // -- receiver local: Reconstruct + KeyGen + Decrypt --------------------
-  // Memoized per (post, epoch): a successful access proved (via the GCM
-  // tag) which DEM key seals this epoch's envelope, so hot posts skip the
-  // pairing-heavy phases AND the PK/MK downloads. The lookup happens only
-  // after Verify granted and the ciphertext arrived: a hit can never widen
-  // access, only cut the cost of access already granted.
+  // Memoized per (post, epoch): a successful access proved (via the
+  // envelope's HMAC-SHA256 tag) which DEM key seals this epoch's envelope,
+  // so hot posts skip the pairing-heavy phases AND the PK/MK downloads. The
+  // lookup happens only after Verify granted and the ciphertext arrived: a
+  // hit can never widen access, only cut the cost of access already granted.
   const std::string dem_entry_id =
       cache_ ? ServeCache::key(post_id, stored.epoch, ServeCache::Kind::kC2Dem) : std::string();
   if (cache_) {

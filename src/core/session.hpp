@@ -208,7 +208,8 @@ class Session {
     osn::Visibility visibility = osn::Visibility::kFriends;
     // C1 state.
     std::optional<Puzzle> puzzle;
-    // C2 state (what the SP holds: τ', PK, MK, URL).
+    // C2 state (what the SP holds: τ', PK, MK, URL). `ciphertext` is empty:
+    // upload_c2 moves it into the DH.
     std::optional<Construction2::UploadResult> c2_files;
     std::string url;
     /// Bumped by refresh/revoke; part of every serving-cache key, so stale

@@ -17,9 +17,8 @@
 //    entire cost of `inc()`/`observe()`. Reads (exposition, percentiles)
 //    merge the shards — they are monitoring-path, not serving-path.
 //  * Near-zero when quiesced: `MetricsRegistry::set_enabled(false)` turns
-//    every instrument into a single relaxed load + branch, which is what the
-//    instrumentation-overhead bench (bench_concurrent_access) measures
-//    against.
+//    every instrument into a single relaxed load + branch (the
+//    instrumentation_overhead block of BENCH_PR4.json measures it).
 //  * Secret hygiene: metric names and label values are identifiers of code
 //    paths, NEVER data. Registration rejects anything outside a conservative
 //    charset/length so answer or key bytes cannot be smuggled into a label

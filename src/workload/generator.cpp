@@ -154,7 +154,7 @@ bool TraceGenerator::post_is_c2(std::uint64_t post_rank) const {
 
 Event TraceGenerator::next() {
   Event event;
-  // -log(1-U) with U in [0, 1): a unit-mean exponential gap. The driver
+  // -log(1-U) with U in [0, 1): a unit-mean exponential gap. A caller
   // divides by the offered rate, so one trace serves a whole rate ladder.
   event.interarrival_unit = -std::log1p(-rng_.uniform_real());
   event.post_rank = zipf_.sample(rng_);

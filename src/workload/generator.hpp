@@ -91,8 +91,8 @@ class ZipfSampler {
 };
 
 /// One workload event. `interarrival_unit` is a unit-mean exponential draw:
-/// the open-loop driver divides by the offered arrival rate, so one trace
-/// serves every point of a rate ladder.
+/// a caller divides it by the offered arrival rate, so one trace serves
+/// every point of a rate ladder.
 struct Event {
   enum class Kind : std::uint8_t { kAccess = 0, kRefresh = 1, kRevoke = 2 };
   Kind kind = Kind::kAccess;

@@ -117,7 +117,9 @@ TEST(CacheChaosHammer, SameSeedFaultReplayIsByteIdenticalWithCacheOn) {
     ASSERT_EQ(ra.error, rb.error) << "request " << i;
     ASSERT_EQ(ra.attempts, rb.attempts) << "request " << i;
     ASSERT_EQ(ra.object.has_value(), rb.object.has_value()) << "request " << i;
-    if (ra.object) ASSERT_EQ(*ra.object, *rb.object) << "request " << i;
+    if (ra.object) {
+      ASSERT_EQ(*ra.object, *rb.object) << "request " << i;
+    }
     // Modeled network cost is schedule-pure, so it must replay exactly too.
     ASSERT_DOUBLE_EQ(ra.cost.network_ms(), rb.cost.network_ms()) << "request " << i;
   }

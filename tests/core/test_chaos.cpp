@@ -107,9 +107,10 @@ TEST(ChaosHammer, OnePercentMixedLoadMostlySucceeds) {
   const Outcome tally = run_chaos_load(rig);
   EXPECT_EQ(tally.granted + tally.denied + tally.deadline, kIssued);
   // With a 5-attempt retry budget, a 1% fault rate should be almost fully
-  // absorbed (the bench's acceptance bar is a 99.5% success rate; the tally
-  // here is deterministic per seed, so this bound is stable).
-  EXPECT_GE(tally.granted, kIssued - 2);
+  // absorbed: the acceptance bar is a 99.5% success rate, which at 96
+  // requests means every one is granted. The tally is deterministic per
+  // seed, so this bound is stable.
+  EXPECT_GE(tally.granted, 0.995 * kIssued);
 }
 
 TEST(ChaosHammer, MetricsDeltasMatchInjectorCounts) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/session.hpp"
+#include "support/fixtures.hpp"
 
 namespace sp::core {
 namespace {
@@ -17,7 +18,7 @@ Context show_context() {
 
 class DirectedOsnTest : public ::testing::Test {
  protected:
-  DirectedOsnTest() : session_({ec::ParamPreset::kToy, net::wlan_80211n_to_ec2(), "directed"}) {
+  DirectedOsnTest() : session_(testsupport::toy_config("directed")) {
     band_ = session_.register_user("band");
     follower_ = session_.register_user("follower");
     outsider_ = session_.register_user("outsider");

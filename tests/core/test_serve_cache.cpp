@@ -345,7 +345,9 @@ TEST(CachedSessionEquivalence, CacheOnAndOffServeIdenticalResults) {
             without.session_.access(without.receivers_[r], post_b, k, net::pc_profile());
         ASSERT_EQ(a.granted, b.granted);
         ASSERT_EQ(a.object.has_value(), b.object.has_value());
-        if (a.object) EXPECT_EQ(*a.object, *b.object);
+        if (a.object) {
+          EXPECT_EQ(*a.object, *b.object);
+        }
         EXPECT_EQ(a.error, b.error);
         // Modeled network time may legitimately differ (hits skip
         // exchanges) — the contract is outcomes, not cost.

@@ -6,6 +6,7 @@
 
 #include "abe/cpabe.hpp"
 #include "core/construction1.hpp"
+#include "core/construction2.hpp"
 #include "core/puzzle.hpp"
 #include "ec/params.hpp"
 
@@ -120,6 +121,75 @@ TEST(WireRobustness, HugeLengthPrefixRejectedNotAllocated) {
   Bytes evil = {0xff, 0xff, 0xff, 0xff, 0x00};
   EXPECT_THROW(Puzzle::deserialize(evil), std::invalid_argument);
   EXPECT_THROW(abe::AccessTree::deserialize(evil), std::invalid_argument);
+}
+
+void put_u32(Bytes& out, std::uint32_t v) {
+  for (int shift = 24; shift >= 0; shift -= 8) out.push_back(static_cast<std::uint8_t>(v >> shift));
+}
+
+std::uint32_t get_u32(const Bytes& in, std::size_t off) {
+  return (std::uint32_t{in[off]} << 24) | (std::uint32_t{in[off + 1]} << 16) |
+         (std::uint32_t{in[off + 2]} << 8) | std::uint32_t{in[off + 3]};
+}
+
+/// AccessTree wire bytes of a chain: `depth` threshold-1 gates, each with
+/// one child, over a single leaf (9 bytes per gate + a 12-byte leaf).
+Bytes chain_tree_wire(std::size_t depth) {
+  Bytes out;
+  out.reserve(depth * 9 + 12);
+  for (std::size_t i = 0; i < depth; ++i) {
+    out.push_back(0);
+    put_u32(out, 1);
+    put_u32(out, 1);
+  }
+  out.push_back(1);
+  out.push_back(0);
+  for (const char* field : {"q", "a"}) {
+    put_u32(out, 1);
+    out.push_back(static_cast<std::uint8_t>(field[0]));
+  }
+  return out;
+}
+
+/// `file` with its leading length-prefixed blob replaced by `blob`.
+Bytes replace_first_blob(const Bytes& file, const Bytes& blob) {
+  Bytes out;
+  put_u32(out, static_cast<std::uint32_t>(blob.size()));
+  out.insert(out.end(), blob.begin(), blob.end());
+  out.insert(out.end(), file.begin() + 4 + get_u32(file, 0), file.end());
+  return out;
+}
+
+TEST(WireRobustness, DeepAccessTreeRejectedWithoutRecursingToTheEnd) {
+  // The decoder's depth bound: a chain whose leaf sits at kMaxDepth decodes,
+  // one level more throws, and a 100k-deep chain (900,012 bytes) throws
+  // instead of overflowing the stack.
+  const std::size_t max_depth = abe::AccessTree::kMaxDepth;
+  EXPECT_EQ(abe::AccessTree::deserialize(chain_tree_wire(max_depth)).leaf_count(), 1u);
+  EXPECT_THROW(abe::AccessTree::deserialize(chain_tree_wire(max_depth + 1)),
+               std::invalid_argument);
+  const Bytes deep = chain_tree_wire(100'000);
+  ASSERT_EQ(deep.size(), 900'012u);
+  EXPECT_THROW(abe::AccessTree::deserialize(deep), std::invalid_argument);
+
+  // The same tree inside a C2 ciphertext file, the bytes a receiver fetches
+  // from the DH: file = blob(CT') || blob(envelope), CT' = blob(policy) || ...
+  const ec::Curve curve(ec::preset_params(ec::ParamPreset::kToy));
+  const Construction2 c2(curve);
+  Drbg rng("deep-tree");
+  Context ctx;
+  ctx.add("q0", "a0");
+  ctx.add("q1", "a1");
+  const auto up = c2.upload(to_bytes("obj"), ctx, 1, rng);
+  const Bytes ct(up.ciphertext.begin() + 4,
+                 up.ciphertext.begin() + 4 + get_u32(up.ciphertext, 0));
+  const Bytes deep_ct = replace_first_blob(ct, deep);
+  EXPECT_THROW((void)abe::CpAbe(curve).deserialize_ciphertext(deep_ct), std::invalid_argument);
+  const Bytes deep_file = replace_first_blob(up.ciphertext, deep_ct);
+  EXPECT_FALSE(c2.access(deep_file, up.public_key, up.master_key, Knowledge::full(ctx), rng));
+  // Control: the untouched file still opens.
+  EXPECT_EQ(c2.access(up.ciphertext, up.public_key, up.master_key, Knowledge::full(ctx), rng),
+            to_bytes("obj"));
 }
 
 }  // namespace

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/session.hpp"
+#include "obs/metrics.hpp"
 #include "osn/service_provider.hpp"
 #include "osn/storage_host.hpp"
 #include "support/fixtures.hpp"
@@ -228,6 +231,62 @@ TEST(SessionPersistence, HostsReopenWithSharedState) {
   core::Session ephemeral(testsupport::toy_config("persist-none"));
   EXPECT_FALSE(ephemeral.service_provider().is_durable());
   EXPECT_FALSE(ephemeral.storage_host().is_durable());
+}
+
+/// Median modeled cost (local + network + wait) of a mixed C1/C2
+/// access_parallel batch on a fresh fan-out rig; every request must grant.
+double median_parallel_access_ms(const core::SessionConfig& cfg) {
+  constexpr std::size_t kReceivers = 4;
+  constexpr std::size_t kRequests = 32;
+  testsupport::FanoutRig rig(cfg, kReceivers);
+  std::vector<core::Session::AccessRequest> requests(kRequests);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    requests[i].receiver = rig.receivers_[i % kReceivers];
+    requests[i].post_id = i % 2 == 0 ? rig.c1_post_ : rig.c2_post_;
+    requests[i].knowledge = core::Knowledge::full(rig.ctx_);
+  }
+  const auto results = rig.session_.access_parallel(requests, kReceivers);
+  std::vector<double> costs;
+  for (const auto& result : results) {
+    EXPECT_TRUE(result.success());
+    costs.push_back(result.cost.total_ms());
+  }
+  std::sort(costs.begin(), costs.end());
+  return (costs[kRequests / 2 - 1] + costs[kRequests / 2]) / 2;
+}
+
+TEST(SessionPersistence, DurableParallelServingExportsFamiliesAtInMemoryCost) {
+  // The serving stack's metric families and the WAL's cost on the access
+  // path: a durable session (default batch fsync, every write acknowledged
+  // only after its group commit) must serve a parallel batch at a median
+  // modeled cost within 1.25x of an in-memory one, then reopen with the
+  // storage families recorded. The cost is wire-dominated and identical in
+  // both arms, so the bar holds on a noisy machine.
+  TempDir tmp;
+  const double in_memory_ms = median_parallel_access_ms(testsupport::toy_config("metrics-mem"));
+  core::SessionConfig cfg = testsupport::toy_config("metrics-wal");
+  core::PersistenceConfig persist;
+  persist.dir = tmp.str();
+  cfg.persistence = persist;
+  const double durable_ms = median_parallel_access_ms(cfg);
+  EXPECT_GT(in_memory_ms, 0.0);
+  EXPECT_LE(durable_ms, 1.25 * in_memory_ms)
+      << "durable median " << durable_ms << " ms, in-memory " << in_memory_ms << " ms";
+
+  {
+    core::Session reopened(cfg);
+    EXPECT_GT(reopened.service_provider().recovery_stats().wal_records, 0u);
+  }
+  auto& registry = obs::MetricsRegistry::global();
+  ASSERT_TRUE(registry.enabled());
+  const std::string exposition = registry.to_prometheus();
+  for (const char* family : {"sp_access_requests_total", "sp_phase_latency_ms",
+                             "pool_tasks_total", "osn_dh_requests_total",
+                             "sp_storage_wal_appends_total", "sp_storage_recovery_ms"}) {
+    EXPECT_NE(exposition.find("# TYPE " + std::string(family) + " "), std::string::npos)
+        << "missing family " << family;
+  }
+  EXPECT_GT(registry.counter("sp_storage_wal_appends_total").value(), 0u);
 }
 
 }  // namespace

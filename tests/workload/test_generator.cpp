@@ -10,7 +10,6 @@
 #include <set>
 #include <vector>
 
-#include "workload/driver.hpp"
 #include "workload/generator.hpp"
 
 namespace sp::workload {
@@ -177,74 +176,6 @@ TEST(WorkloadGenerator, ChurnFractionsRoughlyHonored) {
   for (int i = 0; i < kEvents; ++i) ++kinds[gen.next().kind];
   EXPECT_NEAR(static_cast<double>(kinds[Event::Kind::kRefresh]) / kEvents, 0.10, 0.01);
   EXPECT_NEAR(static_cast<double>(kinds[Event::Kind::kRevoke]) / kEvents, 0.05, 0.01);
-}
-
-// ------------------------------------------------------ virtual-time driver
-
-TEST(WorkloadDriver, SingleServerQueueingMatchesHandComputation) {
-  // Two requests arriving 10ms apart, each 30ms of CPU: the second queues
-  // 20ms behind the first. Overlap adds to latency but not to the queue.
-  const std::vector<double> gaps = {1.0, 1.0};  // unit gaps at 100 rps = 10ms
-  const std::vector<double> cpu = {30.0, 30.0};
-  const std::vector<double> overlap = {5.0, 0.0};
-  const SimPoint point = simulate_open_loop(gaps, cpu, overlap, 1, 100.0);
-  EXPECT_EQ(point.completed, 2u);
-  EXPECT_DOUBLE_EQ(point.max_ms, 50.0);   // queued 20 + cpu 30
-  EXPECT_DOUBLE_EQ(point.p50_ms, 35.0);   // cpu 30 + overlap 5
-}
-
-TEST(WorkloadDriver, MoreServersNeverHurtLatency) {
-  TraceGenerator gen(small_config("sim"));
-  std::vector<double> gaps, cpu, overlap;
-  for (int i = 0; i < 400; ++i) {
-    const Event event = gen.next();
-    gaps.push_back(event.interarrival_unit);
-    cpu.push_back(event.c2 ? 12.0 : 4.0);
-    overlap.push_back(20.0);
-  }
-  const SimPoint two = simulate_open_loop(gaps, cpu, overlap, 2, 300.0);
-  const SimPoint eight = simulate_open_loop(gaps, cpu, overlap, 8, 300.0);
-  EXPECT_LE(eight.p99_ms, two.p99_ms);
-  EXPECT_LE(eight.p50_ms, two.p50_ms);
-}
-
-TEST(WorkloadDriver, CapacitySearchFindsTheKnee) {
-  // Long trace: past saturation the backlog must have room to build, or the
-  // finite run ends before the overload shows up in the p99.
-  TraceGenerator gen(small_config("capacity"));
-  std::vector<double> gaps, cpu, overlap;
-  for (int i = 0; i < 5000; ++i) {
-    const Event event = gen.next();
-    gaps.push_back(event.interarrival_unit);
-    cpu.push_back(8.0);
-    overlap.push_back(10.0);
-  }
-  const CapacityResult result = find_capacity(gaps, cpu, overlap, 4, /*slo=*/100.0);
-  ASSERT_GT(result.capacity_rps, 0.0);
-  EXPECT_LE(result.at_capacity.p99_ms, 100.0);
-  // The knee must sit below the theoretical service bound c/E[S] = 500 rps
-  // and above a trivially safe 10% of it.
-  EXPECT_LT(result.capacity_rps, 500.0);
-  EXPECT_GT(result.capacity_rps, 50.0);
-  // Just past capacity the SLO really breaks (the search is tight).
-  const SimPoint beyond = simulate_open_loop(gaps, cpu, overlap, 4, result.capacity_rps * 1.10);
-  EXPECT_GT(beyond.p99_ms, 100.0);
-}
-
-TEST(WorkloadDriver, DeterministicAcrossCalls) {
-  TraceGenerator gen(small_config("replay"));
-  std::vector<double> gaps, cpu, overlap;
-  for (int i = 0; i < 200; ++i) {
-    const Event event = gen.next();
-    gaps.push_back(event.interarrival_unit);
-    cpu.push_back(5.0 + static_cast<double>(event.post_rank % 7));
-    overlap.push_back(15.0);
-  }
-  const SimPoint a = simulate_open_loop(gaps, cpu, overlap, 4, 200.0);
-  const SimPoint b = simulate_open_loop(gaps, cpu, overlap, 4, 200.0);
-  EXPECT_DOUBLE_EQ(a.p99_ms, b.p99_ms);
-  EXPECT_DOUBLE_EQ(a.makespan_ms, b.makespan_ms);
-  EXPECT_DOUBLE_EQ(a.achieved_rps, b.achieved_rps);
 }
 
 }  // namespace
